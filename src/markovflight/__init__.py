@@ -41,7 +41,6 @@ from .model import (
     McEstimate,
     SeriesTruncation,
     Vec3,
-    validate_params,
 )
 from .montecarlo import (
     CfEstimate,
@@ -107,7 +106,6 @@ __all__ = [
     "McEstimate",
     "SeriesTruncation",
     "Vec3",
-    "validate_params",
     "CfEstimate",
     "PathSample",
     "RadialHistogram",

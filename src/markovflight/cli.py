@@ -13,36 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import density, montecarlo, validate
 from .errors import DomainError, MarkovFlightError
 from .model import FlightParams, McConfig
 
-__all__ = ["RunSpec", "main"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Resolved parameters of one CLI invocation, validated before any work."""
-
-    command: str
-    c: float
-    lam: float
-    t: Optional[float] = None
-    tmin: Optional[float] = None
-    tmax: Optional[float] = None
-    rmax: Optional[float] = None
-    points: Optional[int] = None
-    bins: Optional[int] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    terms: Optional[int] = None
-    tol: Optional[float] = None
-    raw: bool = False
-    quick: bool = False
-    output: Optional[str] = None
+__all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
@@ -57,11 +34,6 @@ def _emit(text: str, output: Optional[str]) -> None:
             f.write(text)
 
 
-def _announce(spec: RunSpec, verbose: bool) -> None:
-    if verbose:
-        print(f"runspec: {spec}", file=sys.stderr)
-
-
 def _cmd_density_profile(args) -> int:
     p = FlightParams(c=args.c, lam=args.lam)
     t = args.t
@@ -71,11 +43,6 @@ def _cmd_density_profile(args) -> int:
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
     rmax = args.rmax if args.rmax is not None else p.c * t * (1.0 - 1.0 / points)
-    spec = RunSpec(
-        command="density-profile", c=p.c, lam=p.lam, t=t, rmax=rmax,
-        points=points, seed=args.seed, output=args.output,
-    )
-    _announce(spec, args.verbose)
     profile = density.radial_profile(t, p, points, rmax)
     rows = ["r,ac_density"]
     for r, v in zip(profile.radii, profile.values):
@@ -90,11 +57,6 @@ def _cmd_gcurves(args) -> int:
         raise DomainError(f"need 0 <= tmin < tmax, got {args.tmin}, {args.tmax}")
     if args.points < 1:
         raise DomainError(f"points must be >= 1, got {args.points}")
-    spec = RunSpec(
-        command="gcurves", c=args.c, lam=lams[0], tmin=args.tmin, tmax=args.tmax,
-        points=args.points, seed=args.seed, output=args.output,
-    )
-    _announce(spec, args.verbose)
     rows = ["lambda,t,g_exact,g_tilde,gap"]
     for lam in lams:
         p = FlightParams(c=args.c, lam=lam)
@@ -112,26 +74,20 @@ def _cmd_simulate(args) -> int:
     if args.t <= 0:
         raise DomainError(f"t must be > 0, got {args.t}")
     cfg = McConfig(samples=args.samples, seed=args.seed)
-    spec = RunSpec(
-        command="simulate", c=p.c, lam=p.lam, t=args.t, bins=args.bins,
-        samples=cfg.samples, seed=cfg.seed, raw=args.raw, output=args.output,
-    )
-    _announce(spec, args.verbose)
     if args.raw:
-        rows = ["x1,x2,x3,n_switches"]
-        done = 0
-        idx = 0
-        while done < cfg.samples:
-            size = min(cfg.chunk, cfg.samples - done)
+
+        def chunk_rows(i: int, size: int) -> list:
             pos, ns = montecarlo.sample_positions(
-                args.t, p, size, montecarlo.substream(cfg.seed, idx)
+                args.t, p, size, montecarlo.substream(cfg.seed, i)
             )
-            for i in range(size):
-                rows.append(
-                    f"{_fmt(pos[i, 0])},{_fmt(pos[i, 1])},{_fmt(pos[i, 2])},{int(ns[i])}"
-                )
-            done += size
-            idx += 1
+            return [
+                f"{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{n}"
+                for (x1, x2, x3), n in zip(pos.tolist(), ns.tolist())
+            ]
+
+        rows = ["x1,x2,x3,n_switches"]
+        for chunk in montecarlo._map_chunks(cfg, chunk_rows, 1):
+            rows += chunk
     else:
         if args.bins < 1:
             raise DomainError(f"bins must be >= 1, got {args.bins}")
@@ -153,15 +109,7 @@ def _cmd_validate(args) -> int:
         if t <= 0:
             raise DomainError(f"t must be > 0, got {t}")
     cfg = McConfig(samples=args.samples, seed=args.seed)
-    spec = RunSpec(
-        command="validate", c=p.c, lam=p.lam, t=t_list[0], samples=cfg.samples,
-        seed=cfg.seed, terms=args.terms, tol=args.tol, quick=args.quick,
-        output=args.output,
-    )
-    _announce(spec, args.verbose)
-    reports = validate.run_suite(
-        p, t_list, cfg, quick=args.quick, quad_tol=args.tol, max_terms=args.terms
-    )
+    reports = validate.run_suite(p, t_list, cfg, quick=args.quick)
     for line in validate.report_lines(reports):
         print(line)
     n_fail = sum(1 for r in reports if not r.passed)
@@ -179,13 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_default=validate.DEFAULT_SEED):
+    def common(sp):
         sp.add_argument("--c", type=float, default=5.0, help="speed (default 5)")
         sp.add_argument(
             "--lambda", dest="lam", type=float, default=2.0,
             help="switching intensity (default 2)",
         )
-        sp.add_argument("--seed", type=int, default=seed_default)
         sp.add_argument("--output", default=None, help="output path (default stdout)")
         sp.add_argument("--verbose", action="store_true")
 
@@ -202,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=float, action="append", default=None,
         help="intensity; repeatable (default 1 1.5 2 2.5)",
     )
-    gc.add_argument("--seed", type=int, default=validate.DEFAULT_SEED)
     gc.add_argument("--output", default=None)
     gc.add_argument("--verbose", action="store_true")
     gc.add_argument("--tmin", type=float, default=0.0, help="open left endpoint")
@@ -212,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo endpoint histogram or rows")
     common(sim)
+    sim.add_argument("--seed", type=int, default=validate.DEFAULT_SEED)
     sim.add_argument("--t", type=float, default=0.1)
     sim.add_argument("--samples", type=int, default=100_000)
     sim.add_argument("--bins", type=int, default=40)
@@ -220,11 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("validate", help="run the cross-check suite")
     common(va)
+    va.add_argument("--seed", type=int, default=validate.DEFAULT_SEED)
     va.add_argument("--t", type=float, action="append", default=None, help="repeatable")
     va.add_argument("--samples", type=int, default=10**6)
     va.add_argument("--quick", action="store_true", help="deterministic subset only")
-    va.add_argument("--tol", type=float, default=None, help="quadrature error budget")
-    va.add_argument("--terms", type=int, default=None, help="series term cap override")
     va.set_defaults(fn=_cmd_validate)
 
     return parser
@@ -233,6 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        shown = {k: v for k, v in vars(args).items() if k != "fn"}
+        print(f"runspec: {shown}", file=sys.stderr)
     try:
         return args.fn(args)
     except DomainError as exc:

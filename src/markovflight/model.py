@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import DomainError, NonFinite, NonPositiveIntensity, NonPositiveSpeed
 
@@ -13,7 +13,6 @@ __all__ = [
     "DensityValue",
     "McConfig",
     "McEstimate",
-    "validate_params",
 ]
 
 
@@ -38,18 +37,6 @@ class FlightParams:
         if self.lam <= 0:
             raise NonPositiveIntensity(f"intensity lam must be > 0, got {self.lam}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlightParams":
-        return cls(**d)
-
-
-def validate_params(c: float, lam: float) -> FlightParams:
-    """Validated constructor; raises the error naming the offending field."""
-    return FlightParams(float(c), float(lam))
-
 
 @dataclass(frozen=True)
 class Vec3:
@@ -69,13 +56,6 @@ class Vec3:
     def as_tuple(self) -> tuple:
         return (self.x1, self.x2, self.x3)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vec3":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SeriesTruncation:
@@ -93,13 +73,6 @@ class SeriesTruncation:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
         if not (self.tail_tol >= 0):
             raise DomainError(f"tail_tol must be >= 0, got {self.tail_tol}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeriesTruncation":
-        return cls(**d)
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
@@ -126,13 +99,6 @@ class DensityValue:
         if self.ac_value < 0:
             raise DomainError("ac_value must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DensityValue":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -155,13 +121,6 @@ class McConfig:
         if self.chunk < 1:
             raise DomainError(f"chunk must be >= 1, got {self.chunk}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -170,10 +129,3 @@ class McEstimate:
     mean: float
     std_error: float
     samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McEstimate":
-        return cls(**d)

@@ -1,9 +1,8 @@
 """Special functions underlying every closed-form expression in the package.
 
-Log-gamma, Pochhammer symbols, Bessel J of integer and half-integer order,
-the sine integral Si, the nonstandard cosine integral used by the
-characteristic functions, and two terminating hypergeometric sums at unit
-argument.
+Log-gamma, Bessel J of integer and half-integer order, the sine integral Si,
+the nonstandard cosine integral used by the characteristic functions, and two
+terminating hypergeometric sums at unit argument.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from .errors import DomainError, InvalidParameter
 __all__ = [
     "Order",
     "log_gamma",
-    "pochhammer",
     "bessel_j",
     "si",
     "neg_cin",
@@ -35,20 +33,6 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1.
-
-    For nonpositive-integer x = -n this is (-1)^k n!/(n-k)! while k <= n and
-    exactly 0 afterwards.
-    """
-    if k < 0:
-        raise DomainError(f"pochhammer requires k >= 0, got {k}")
-    out = 1.0
-    for j in range(k):
-        out *= x + j
-    return out
 
 
 @dataclass(frozen=True)

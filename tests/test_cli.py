@@ -4,7 +4,7 @@ import math
 import pytest
 
 import markovflight.validate
-from markovflight.cli import RunSpec, main
+from markovflight.cli import main
 from markovflight.validate import CheckReport
 
 
@@ -165,20 +165,26 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL doomed" in out
 
-    def test_corrupted_tol_flag_is_usage_error(self, capsys):
+    def test_corrupted_samples_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["validate", "--tol", "banana"])
+            main(["validate", "--samples", "banana"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--tol", "1e-9"],
+            ["validate", "--terms", "50"],
+            ["density-profile", "--seed", "1"],
+            ["gcurves", "--seed", "1"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
-
-
-class TestRunSpec:
-    def test_frozen_and_fields(self):
-        spec = RunSpec(command="simulate", c=5.0, lam=2.0, t=0.1)
-        assert spec.command == "simulate"
-        with pytest.raises(Exception):
-            spec.c = 1.0

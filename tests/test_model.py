@@ -1,4 +1,4 @@
-"""Domain type validation and round-trips."""
+"""Domain type validation."""
 import dataclasses
 import math
 
@@ -15,7 +15,6 @@ from markovflight import (
     NonPositiveSpeed,
     SeriesTruncation,
     Vec3,
-    validate_params,
 )
 from markovflight.errors import DomainError
 
@@ -50,15 +49,6 @@ class TestFlightParams:
         p = FlightParams(c=1.0, lam=1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.c = 2.0
-
-    def test_dict_round_trip(self):
-        p = FlightParams(c=5.0, lam=2.0)
-        assert FlightParams.from_dict(p.to_dict()) == p
-
-    def test_validate_params_helper(self):
-        assert validate_params(3.0, 0.5) == FlightParams(c=3.0, lam=0.5)
-        with pytest.raises(NonPositiveSpeed):
-            validate_params(0.0, 0.5)
 
 
 class TestVec3:

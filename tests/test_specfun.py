@@ -13,7 +13,7 @@ from scipy import special
 
 from markovflight import Order, bessel_j, hyp5f4_unit, neg_cin, si
 from markovflight.errors import DomainError, InvalidParameter
-from markovflight.specfun import hyp3f2_unit_terminating, log_gamma, pochhammer
+from markovflight.specfun import hyp3f2_unit_terminating, log_gamma
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -81,15 +81,6 @@ class TestLogGammaPochhammer:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-1.5)
-
-    def test_pochhammer_exact(self):
-        assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
-        assert pochhammer(7.3, 0) == 1.0
-        assert pochhammer(-2.0, 3) == 0.0  # (-2)(-1)(0)
-
-    def test_pochhammer_negative_k(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
 
 
 class TestOrder:

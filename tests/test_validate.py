@@ -15,10 +15,65 @@ from markovflight import (
     reports_to_csv,
     run_suite,
 )
+from markovflight import montecarlo, specfun, validate
 from markovflight.errors import DomainError, QuadratureNotConverged, RadiusOutsideBall
 from markovflight.validate import _quad
 
 P = FlightParams(c=5.0, lam=2.0)
+
+# the suite's check names in run order, frozen so that no check is dropped,
+# renamed or reordered without this list changing with it
+QUICK_NAMES = [
+    "arctan_pow_grid_n1",
+    "arctan_pow_grid_n2",
+    "arctan_pow_grid_n3",
+    "arctan_pow_grid_n4",
+    "gamma_sum_identity_grid",
+    "arctan_coefficient_sum",
+    "hyp5f4_at_1",
+    "quartic_gamma_0",
+    "bessel_half_order_forms",
+    "si_against_reference",
+    "neg_cin_against_reference",
+    "est_log_term_t0.1",
+    "est_sqrt_term_t0.1",
+    "est_const_term_t0.1",
+    "est_full_vs_gtilde_t0.1",
+    "ball_series_vs_quadrature_t0.1_r0.2",
+    "ball_series_vs_quadrature_t0.1_r0.5",
+    "ball_series_vs_quadrature_t0.1_r0.8",
+    "ball_series_vs_quadrature_t0.1_r0.95",
+    "ball_limit_gtilde_t0.1",
+    "gap_identity_t0.1",
+    "density_origin_continuity_t0.1",
+    "profile_monotone_t0.1",
+    "h_bound_grid",
+    "window_endpoint_lam1",
+    "window_endpoint_lam1.5",
+    "window_endpoint_lam2",
+    "window_endpoint_lam2.5",
+    "h2_leading_term_decay",
+    "h3_leading_term_decay",
+    "h_asym_vs_conditional_sum_t0.2",
+    "h_asym_vs_conditional_sum_t0.1",
+    "h_asym_vs_conditional_sum_t0.05",
+]
+FULL_NAMES = QUICK_NAMES + [
+    f"mc_conditional_cf_n{n}_x{x}" for n in (1, 2, 3) for x in ("0.3", "0.5", "1", "2", "3")
+] + [
+    "mc_cf_imag_symmetry",
+    "mc_uncond_cf_t0.1",
+    "mc_atom_fraction_t0.1",
+    "mc_ball_prob_t0.1",
+    "mc_support_t0.1",
+    "mc_switch_chisquare_t0.1",
+    "mc_mean_position_t0.1",
+    "mc_mixture_coherence",
+    "mc_direction_component_means",
+    "mc_direction_ks_uniform",
+    "mc_determinism_rerun",
+    "mc_worker_invariance",
+]
 
 
 class TestCheckReport:
@@ -99,7 +154,7 @@ class TestQuad:
 class TestRunSuite:
     def test_quick_suite_all_pass(self):
         reports = run_suite(quick=True)
-        assert len(reports) >= 30
+        assert [r.name for r in reports] == QUICK_NAMES
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
 
@@ -111,11 +166,34 @@ class TestRunSuite:
     def test_small_mc_suite_all_pass(self):
         cfg = McConfig(samples=10**5, seed=20260814)
         reports = run_suite(cfg=cfg)
+        assert [r.name for r in reports] == FULL_NAMES
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
-        names = {r.name for r in reports}
-        assert "mc_conditional_cf_n3_x2" in names
-        assert "mc_worker_invariance" in names
+
+    def test_raising_rows_fail_every_name(self, monkeypatch):
+        # each grouped row reports all of its names as failed when it raises,
+        # so the suite's total never shrinks
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(specfun, "si", boom)
+        monkeypatch.setattr(montecarlo, "estimate_cf", boom)
+        monkeypatch.setattr(validate.stats, "kstest", boom)
+        reports = run_suite(cfg=McConfig(samples=10**4, seed=20260814))
+        assert [r.name for r in reports] == FULL_NAMES
+        failed = {r.name: r for r in reports if not r.passed}
+        for name in (
+            "si_against_reference",
+            "neg_cin_against_reference",
+            "mc_uncond_cf_t0.1",
+            "mc_direction_component_means",
+            "mc_direction_ks_uniform",
+            "mc_determinism_rerun",
+            "mc_worker_invariance",
+        ):
+            assert name in failed
+            assert math.isnan(failed[name].lhs)
+            assert failed[name].detail == "RuntimeError: injected"
 
     def test_report_lines_format(self):
         reports = run_suite(quick=True)
