@@ -34,12 +34,10 @@ from .errors import (
     UnsupportedPower,
 )
 from .model import (
-    DEFAULT_TRUNCATION,
     DensityValue,
     FlightParams,
     McConfig,
     McEstimate,
-    SeriesTruncation,
     Vec3,
 )
 from .montecarlo import (
@@ -99,12 +97,10 @@ __all__ = [
     "RadiusOutsideBall",
     "TruncationNotConverged",
     "UnsupportedPower",
-    "DEFAULT_TRUNCATION",
     "DensityValue",
     "FlightParams",
     "McConfig",
     "McEstimate",
-    "SeriesTruncation",
     "Vec3",
     "CfEstimate",
     "PathSample",

@@ -7,15 +7,21 @@ drive the three-switch characteristic function.
 """
 from __future__ import annotations
 
+import functools
 import math
 
-from .errors import InvalidParameter, UnsupportedPower
-from .model import DEFAULT_TRUNCATION, SeriesTruncation
+from .errors import InvalidParameter, TruncationNotConverged, UnsupportedPower
 from .specfun import hyp3f2_unit_terminating, hyp5f4_unit, log_gamma
 
 __all__ = ["arctan_pow", "quartic_gamma", "gamma_sum_identity"]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# arctan_pow stops at the first term below _TAIL_TOL.  The tail is geometric
+# in w = z^2/(1+z^2), and _MAX_TERMS terms reach the tolerance for
+# |z| <= 3.9 at every n (n = 4 needs 243 terms at z = 3 and 409 at z = 4).
+_MAX_TERMS = 400
+_TAIL_TOL = 1e-14
 
 
 def quartic_gamma(k: int) -> float:
@@ -25,6 +31,12 @@ def quartic_gamma(k: int) -> float:
 
     gamma_0 = 2/pi; the sequence is positive and decreasing.
     """
+    return _quartic_gamma(k)
+
+
+# Callers ask for k below their series' term budget, so the cache stays small.
+@functools.cache
+def _quartic_gamma(k: int) -> float:
     total = 0.0
     for l in range(k + 1):
         total += math.exp(
@@ -49,11 +61,12 @@ def _coefficient(n: int, k: int) -> float:
     return math.pi / 2.0 * quartic_gamma(k)
 
 
-def arctan_pow(n: int, z: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
+def arctan_pow(n: int, z: float) -> float:
     """Series evaluation of (arctan z)^n for n in 1..4.
 
     The tail is geometric in w = z^2/(1+z^2) < 1, so convergence is slowest
-    for large |z| (w = 0.9 at z = 3 needs most of the default term budget).
+    for large |z|.  Accurate for |z| <= 3.9; raises TruncationNotConverged
+    where the term budget runs out before the tail tolerance is met.
     """
     if n not in (1, 2, 3, 4):
         raise UnsupportedPower(f"arctan_pow supports n in 1..4, got {n}")
@@ -61,16 +74,17 @@ def arctan_pow(n: int, z: float, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -
         return 0.0
     s = z / math.sqrt(1.0 + z * z)
     w = z * z / (1.0 + z * z)
-    prefactor = s**n
     total = 0.0
     wk = 1.0
-    for k in range(trunc.max_terms):
+    for k in range(_MAX_TERMS):
         term = _coefficient(n, k) * wk
         total += term
-        if abs(term) < trunc.tail_tol:
-            break
+        if abs(term) < _TAIL_TOL:
+            return s**n * total
         wk *= w
-    return prefactor * total
+    raise TruncationNotConverged(
+        f"arctan_pow({n}, {z}): {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
+    )
 
 
 def gamma_sum_identity(n: int, a: float) -> tuple:

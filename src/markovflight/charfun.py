@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NonFinite, TruncationNotConverged
-from .model import DEFAULT_TRUNCATION, FlightParams, SeriesTruncation
-from .specfun import Order, bessel_j, log_gamma, neg_cin, si
+from .model import FlightParams
+from .specfun import Order, bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
 from .arctan_series import quartic_gamma
-from .specfun import hyp5f4_unit
 
 __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 
@@ -24,6 +23,13 @@ __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 # polynomial: the direct forms are 0/0 at x = 0 and the quartic truncation
 # error is ~1e-14 at the cutoff.
 _SMALL_X = 1e-3
+
+# The Bessel series stop at the first term below _TAIL_TOL and raise
+# TruncationNotConverged after _MAX_TERMS terms.  A larger budget would not
+# widen their range: with 400 terms, x = 200 and 300 give H_2 = 1e22 and
+# 1e43 instead of raising.
+_MAX_TERMS = 200
+_TAIL_TOL = 1e-14
 
 _LOG2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -71,9 +77,7 @@ def h1(q: FreqQuery, p: FlightParams) -> float:
     return (math.sin(x) * si(2.0 * x) + math.cos(x) * neg_cin(2.0 * x)) / (x * x)
 
 
-def h2_series(
-    q: FreqQuery, p: FlightParams, trunc: SeriesTruncation = DEFAULT_TRUNCATION
-) -> float:
+def h2_series(q: FreqQuery, p: FlightParams) -> float:
     """Two-switch characteristic function as a Bessel series.
 
     H_2 = sum_k x^(k-1) / (2^(k-1) k! (2k+1)^2) * F(k) * J_{k+1}(x), where
@@ -87,20 +91,18 @@ def h2_series(
         return 1.0 - xx / 12.0 + 7.0 * xx * xx / 2700.0
     log_half_x = math.log(0.5 * x)
     total = 0.0
-    for k in range(trunc.max_terms):
+    for k in range(_MAX_TERMS):
         coef = math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
         term = coef * hyp5f4_unit(k) * bessel_j(Order.integer(k + 1), x)
         total += term
-        if abs(term) < trunc.tail_tol:
+        if abs(term) < _TAIL_TOL:
             return total
     raise TruncationNotConverged(
-        f"H2 series at x={x}: {trunc.max_terms} terms left tail above {trunc.tail_tol}"
+        f"H2 series at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
     )
 
 
-def h3_series(
-    q: FreqQuery, p: FlightParams, trunc: SeriesTruncation = DEFAULT_TRUNCATION
-) -> float:
+def h3_series(q: FreqQuery, p: FlightParams) -> float:
     """Three-switch characteristic function as a half-integer Bessel series.
 
     H_3 = 3 pi^(3/2) sum_k gamma_k x^(k-3/2) / (2^(k+3/2) (k+1)!) * J_{k+3/2}(x)
@@ -112,7 +114,7 @@ def h3_series(
         return 1.0 - xx / 15.0 + 11.0 * xx * xx / 6300.0
     log_x = math.log(x)
     total = 0.0
-    for k in range(trunc.max_terms):
+    for k in range(_MAX_TERMS):
         coef = (
             3.0
             * math.pi**1.5
@@ -121,10 +123,10 @@ def h3_series(
         )
         term = coef * bessel_j(Order.half(k + 1), x)
         total += term
-        if abs(term) < trunc.tail_tol:
+        if abs(term) < _TAIL_TOL:
             return total
     raise TruncationNotConverged(
-        f"H3 series at x={x}: {trunc.max_terms} terms left tail above {trunc.tail_tol}"
+        f"H3 series at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
     )
 
 

@@ -108,6 +108,8 @@ def _cmd_validate(args) -> int:
     for t in t_list:
         if t <= 0:
             raise DomainError(f"t must be > 0, got {t}")
+    if not args.quick and args.samples < montecarlo._MIN_CF_SAMPLES:
+        raise DomainError(f"--samples must be >= {montecarlo._MIN_CF_SAMPLES} without --quick")
     cfg = McConfig(samples=args.samples, seed=args.seed)
     reports = validate.run_suite(p, t_list, cfg, quick=args.quick)
     for line in validate.report_lines(reports):

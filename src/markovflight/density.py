@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RadiusOutsideBall
-from .model import (
-    DEFAULT_TRUNCATION,
-    DensityValue,
-    FlightParams,
-    SeriesTruncation,
-    Vec3,
-)
+from .model import DensityValue, FlightParams, Vec3
 
 __all__ = [
     "RadialProfile",
@@ -92,39 +86,21 @@ def density_at(x: Vec3, t: float, p: FlightParams) -> DensityValue:
     )
 
 
-def _subball_series(q: float, trunc: SeriesTruncation) -> float:
-    # sum_{k>=1} q^k/(4k^2-1) for q = (r/ct)^2, truncated per trunc, then a
-    # telescoped remainder q^(K+1)/(2(2K+1)) is added: the partial fractions
-    # 1/(4k^2-1) = [1/(2k-1) - 1/(2k+1)]/2 make that correction exact at
-    # q = 1, so the full-ball limit is recovered at any term budget.  With the
-    # default 200 terms the error stays below 1e-12 up to q = 0.9 and peaks
-    # near 2e-5 around q = 0.98 (where q^200 is neither small nor 1); raise
-    # max_terms to a few thousand if that band matters.
-    total = 0.0
-    qk = 1.0
-    k = 0
-    while k < trunc.max_terms:
-        k += 1
-        qk *= q
-        term = qk / (4.0 * k * k - 1.0)
-        total += term
-        if term < trunc.tail_tol:
-            break
-    total += qk * q / (2.0 * (2.0 * k + 1.0))
-    return total
+# Below this r/ct both brackets of ball_prob_asymptotic cancel down to their
+# leading 2 rho^3/3, so they are summed from their series there instead; 14
+# terms leave a tail below 1e-16 of the sum (the terms fall by rho^2 <= 1/16).
+_SMALL_RATIO = 0.25
 
 
-def ball_prob_asymptotic(
-    r: float, t: float, p: FlightParams, trunc: SeriesTruncation = DEFAULT_TRUNCATION
-) -> float:
+def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     """Probability that the position lies in the ball of radius r < ct.
 
-    e^(-lam t) [ (2 lam r / c) sum_{k>=1} (r^2/(c^2 t^2))^k/(4k^2-1)
-                 + (lam^2 t^2/pi)(arcsin(r/ct) - (r/ct) sqrt(1-(r/ct)^2))
-                 + lam^3 r^3/(6 c^3) ]
+    e^(-lam t) [ lam t (rho - (1 - rho^2) artanh(rho))
+                 + (lam^2 t^2/pi)(arcsin(rho) - rho sqrt(1 - rho^2))
+                 + lam^3 r^3/(6 c^3) ]          with rho = r/ct,
 
-    As r -> ct the value tends to g_tilde(t): the series sums to 1/2 and the
-    arcsin reaches pi/2.
+    the integral of 4 pi s^2 ac_density(s) over [0, r].  As r -> ct the value
+    tends to g_tilde(t): the first bracket reaches 1 and the arcsin pi/2.
     """
     _check_t(t)
     if r < 0:
@@ -135,14 +111,21 @@ def ball_prob_asymptotic(
     if r == 0.0:
         return 0.0
     ratio = r / ct
-    q = ratio * ratio
-    series = _subball_series(q, trunc)
-    arc = math.asin(ratio) - ratio * math.sqrt(1.0 - q)
+    if ratio < _SMALL_RATIO:
+        # rho - (1 - rho^2) artanh(rho) = 2 rho sum_{k>=1} rho^(2k)/(4k^2-1)
+        # arcsin(rho) - rho sqrt(1 - rho^2) = 2 rho^3 sum_{k>=0} C(2k,k) (rho/2)^(2k)/(2k+3)
+        q = ratio * ratio
+        log_part = 2.0 * ratio * sum(q**k / (4.0 * k * k - 1.0) for k in range(1, 15))
+        arc = 2.0 * ratio * q * sum(
+            math.comb(2 * k, k) * (q / 4.0) ** k / (2 * k + 3) for k in range(14)
+        )
+    else:
+        # 1 -+ rho taken as (ct -+ r)/ct, which stays exact as r -> ct
+        log_part = ratio - (ct - r) * (ct + r) / (2.0 * ct * ct) * math.log((ct + r) / (ct - r))
+        arc = math.asin(ratio) - ratio * math.sqrt(1.0 - ratio * ratio)
     lt = p.lam * t
     return math.exp(-lt) * (
-        2.0 * p.lam * r / p.c * series
-        + lt * lt / math.pi * arc
-        + p.lam**3 * r**3 / (6.0 * p.c**3)
+        lt * log_part + lt * lt / math.pi * arc + p.lam**3 * r**3 / (6.0 * p.c**3)
     )
 
 

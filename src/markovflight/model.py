@@ -9,7 +9,6 @@ from .errors import DomainError, NonFinite, NonPositiveIntensity, NonPositiveSpe
 __all__ = [
     "FlightParams",
     "Vec3",
-    "SeriesTruncation",
     "DensityValue",
     "McConfig",
     "McEstimate",
@@ -55,27 +54,6 @@ class Vec3:
 
     def as_tuple(self) -> tuple:
         return (self.x1, self.x2, self.x3)
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Stopping rule for infinite series: tolerance first, then term budget.
-
-    Evaluation stops at the first term whose absolute value drops below
-    ``tail_tol``; if that never happens it stops after ``max_terms`` terms.
-    """
-
-    max_terms: int = 200
-    tail_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not (self.tail_tol >= 0):
-            raise DomainError(f"tail_tol must be >= 0, got {self.tail_tol}")
-
-
-DEFAULT_TRUNCATION = SeriesTruncation()
 
 
 @dataclass(frozen=True)

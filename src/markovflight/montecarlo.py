@@ -37,6 +37,9 @@ __all__ = [
     "radial_histogram",
 ]
 
+# Fewest samples the characteristic-function estimators accept.
+_MIN_CF_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -214,8 +217,8 @@ def estimate_cf(
     By radial symmetry the direction of alpha is irrelevant; the imaginary
     part is 0 in law and its estimate is returned for the symmetry check.
     """
-    if cfg.samples < 10_000:
-        raise DomainError("estimate_cf needs at least 1e4 samples")
+    if cfg.samples < _MIN_CF_SAMPLES:
+        raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
     return _cf_from_chunks(
         cfg, lambda rng, size: sample_positions(t, p, size, rng)[0], alpha_norm, workers
     )
@@ -225,8 +228,8 @@ def estimate_conditional_cf(
     n: int, alpha_norm: float, t: float, p: FlightParams, cfg: McConfig, workers: int = 1
 ) -> CfEstimate:
     """Empirical characteristic function given exactly n switches."""
-    if cfg.samples < 10_000:
-        raise DomainError("estimate_conditional_cf needs at least 1e4 samples")
+    if cfg.samples < _MIN_CF_SAMPLES:
+        raise DomainError(f"estimate_conditional_cf needs at least {_MIN_CF_SAMPLES} samples")
     return _cf_from_chunks(
         cfg,
         lambda rng, size: sample_positions_given_n(n, t, p, size, rng),

@@ -6,10 +6,11 @@ terminating hypergeometric sums at unit argument.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, InvalidParameter
 
@@ -23,8 +24,8 @@ __all__ = [
     "hyp3f2_unit_terminating",
 ]
 
-# Si/neg_cin switch from their entire Taylor series to adaptive quadrature
-# here; the series loses digits to cancellation once x is well past 10.
+# neg_cin switches from its entire Taylor series to scipy's Ci here; the
+# series loses digits to cancellation once x is well past 10.
 _TAYLOR_CUTOFF = 10.0
 
 
@@ -94,20 +95,7 @@ def si(x: float) -> float:
     """Sine integral Si(x) = integral of sin(u)/u over [0, x]."""
     if x < 0:
         raise DomainError(f"si requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x > _TAYLOR_CUTOFF:
-        val, _ = integrate.quad(lambda u: math.sin(u) / u, 0.0, x, limit=400)
-        return val
-    # sum_k (-1)^k x^(2k+1) / ((2k+1)(2k+1)!)
-    total = 0.0
-    term = x
-    k = 0
-    while abs(term) > 1e-18 and k < 60:
-        total += term
-        k += 1
-        term *= -x * x * (2 * k - 1) / ((2 * k) * (2 * k + 1) ** 2)
-    return total
+    return float(special.sici(x)[0])
 
 
 def neg_cin(x: float) -> float:
@@ -120,11 +108,9 @@ def neg_cin(x: float) -> float:
     """
     if x < 0:
         raise DomainError(f"neg_cin requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
     if x > _TAYLOR_CUTOFF:
-        val, _ = integrate.quad(lambda u: (math.cos(u) - 1.0) / u, 0.0, x, limit=400)
-        return val
+        # Ci(x) = gamma + ln x + neg_cin(x), with Euler's gamma
+        return float(special.sici(x)[1]) - math.log(x) - 0.57721566490153286
     # sum_{k>=1} (-1)^k x^(2k) / ((2k)(2k)!)
     total = 0.0
     term = -x * x / 4.0
@@ -147,6 +133,12 @@ def hyp5f4_unit(k: int) -> float:
     """
     if k < 0:
         raise DomainError(f"hyp5f4_unit requires k >= 0, got {k}")
+    return _hyp5f4_unit(k)
+
+
+# Callers ask for k below their series' term budget, so the cache stays small.
+@functools.cache
+def _hyp5f4_unit(k: int) -> float:
     total = 0.0
     term = 1.0
     for j in range(k + 1):

@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from markovflight import arctan_pow, gamma_sum_identity, quartic_gamma
-from markovflight.errors import InvalidParameter, UnsupportedPower
-from markovflight.model import SeriesTruncation
+from markovflight.errors import InvalidParameter, TruncationNotConverged, UnsupportedPower
 
 
 def gamma_half_rational(m: int) -> Fraction:
@@ -82,14 +81,15 @@ class TestArctanPow:
             with pytest.raises(UnsupportedPower):
                 arctan_pow(n, 1.0)
 
-    def test_budget_exhaustion_is_silent(self):
-        # past the designed range the series just returns its best partial sum
-        out = arctan_pow(2, 10.0, SeriesTruncation(max_terms=30, tail_tol=0.0))
-        assert math.isfinite(out)
+    def test_budget_exhaustion_raises(self):
+        # past |z| = 3.9 the term budget runs out before the tail tolerance
+        with pytest.raises(TruncationNotConverged):
+            arctan_pow(4, 10.0)
 
-    def test_tighter_truncation_converges(self):
-        tight = SeriesTruncation(max_terms=400, tail_tol=1e-16)
-        assert arctan_pow(4, 3.0, tight) == pytest.approx(math.atan(3.0) ** 4, abs=1e-12)
+    def test_default_converges_at_z3(self):
+        for n in (1, 2, 3, 4):
+            for z in (-3.0, 3.0):
+                assert arctan_pow(n, z) == pytest.approx(math.atan(z) ** n, abs=1e-12)
 
 
 class TestGammaSumIdentity:

@@ -13,6 +13,7 @@ from scipy import special
 from markovflight import (
     FlightParams,
     FreqQuery,
+    charfun,
     h0,
     h1,
     h2_series,
@@ -20,7 +21,6 @@ from markovflight import (
     h_asymptotic,
 )
 from markovflight.errors import DomainError, TruncationNotConverged
-from markovflight.model import SeriesTruncation
 
 EULER_GAMMA = 0.5772156649015328606
 P = FlightParams(c=5.0, lam=2.0)
@@ -127,12 +127,12 @@ class TestH2H3:
             for fn in (h0, h1, h2_series, h3_series):
                 assert abs(fn(q, P)) <= 1.0 + 1e-12
 
-    def test_truncation_not_converged(self):
-        starved = SeriesTruncation(max_terms=3, tail_tol=0.0)
+    def test_truncation_not_converged(self, monkeypatch):
+        monkeypatch.setattr(charfun, "_MAX_TERMS", 3)
         with pytest.raises(TruncationNotConverged):
-            h2_series(query_for_x(5.0), P, starved)
+            h2_series(query_for_x(5.0), P)
         with pytest.raises(TruncationNotConverged):
-            h3_series(query_for_x(5.0), P, starved)
+            h3_series(query_for_x(5.0), P)
 
 
 class TestHAsymptotic:

@@ -165,6 +165,17 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL doomed" in out
 
+    def test_too_few_samples_is_usage_error(self, capsys, monkeypatch):
+        # the estimators' sample floor is an input error, caught before any check
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite must not run")
+
+        monkeypatch.setattr(markovflight.validate, "run_suite", no_suite)
+        code, out, err = run_cli(["validate", "--samples", "5000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "10000" in err
+
     def test_corrupted_samples_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--samples", "banana"])

@@ -1,9 +1,9 @@
 """Density, subball probabilities and the accuracy functions.
 
-The subball series has a closed form through artanh:
-sum_{k>=1} q^k/(4k^2-1) = [1 - (1-q) artanh(sqrt q)/sqrt q] / 2, which the
-tests use as an oracle that shares no code with the truncated series.  The
-accuracy-gap identity is checked against scipy's Poisson survival function.
+Subball probabilities are checked against the quadrature of the density
+terms in `integrate_ac_density_ball`, which shares no code with their
+closed form.  The accuracy-gap identity is checked against scipy's Poisson
+survival function.
 """
 import math
 
@@ -19,38 +19,16 @@ from markovflight import (
     density_at,
     g_exact,
     g_tilde,
+    integrate_ac_density_ball,
     radial_profile,
     singular_weight,
     switch_tail_error,
 )
 from markovflight.errors import DomainError, RadiusOutsideBall
-from markovflight.model import SeriesTruncation
 
 P = FlightParams(c=5.0, lam=2.0)
 T = 0.1
 CT = P.c * T
-
-
-def subball_series_closed_form(q: float) -> float:
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 0.5
-    sq = math.sqrt(q)
-    return 0.5 * (1.0 - (1.0 - q) * math.atanh(sq) / sq)
-
-
-def ball_prob_reference(r: float, t: float, p: FlightParams) -> float:
-    ct = p.c * t
-    ratio = r / ct
-    q = ratio * ratio
-    lt = p.lam * t
-    arc = math.asin(ratio) - ratio * math.sqrt(1.0 - q)
-    return math.exp(-lt) * (
-        2.0 * p.lam * r / p.c * subball_series_closed_form(q)
-        + lt * lt / math.pi * arc
-        + p.lam**3 * r**3 / (6.0 * p.c**3)
-    )
 
 
 class TestSingularWeight:
@@ -127,9 +105,10 @@ class TestDensityAt:
 class TestBallProbAsymptotic:
     @pytest.mark.parametrize("ratio", [0.05, 0.2, 0.5, 0.8, 0.95])
     def test_vs_closed_form(self, ratio):
+        # the closed form against quadrature of the density terms
         r = ratio * CT
         assert ball_prob_asymptotic(r, T, P) == pytest.approx(
-            ball_prob_reference(r, T, P), abs=5e-12
+            integrate_ac_density_ball(r, T, P), abs=5e-12
         )
 
     def test_frozen_values(self):
@@ -157,19 +136,21 @@ class TestBallProbAsymptotic:
             ball_prob_asymptotic(-0.1, T, P)
 
     def test_limit_recovers_g_tilde(self):
-        # full-ball limit with the term budget opened up
-        trunc = SeriesTruncation(max_terms=10_000, tail_tol=0.0)
-        val = ball_prob_asymptotic(np.nextafter(CT, 0.0), T, P, trunc)
+        val = ball_prob_asymptotic(np.nextafter(CT, 0.0), T, P)
         assert val == pytest.approx(g_tilde(T, P), abs=1e-8)
 
-    def test_truncation_band_near_boundary(self):
-        # around q = 0.98 the 200-term default leaves a few 1e-6 of error;
-        # a larger budget collapses it back to rounding level
-        r = 0.99 * CT
-        ref = ball_prob_reference(r, T, P)
-        assert ball_prob_asymptotic(r, T, P) == pytest.approx(ref, abs=2e-5)
-        roomy = SeriesTruncation(max_terms=2000, tail_tol=1e-14)
-        assert ball_prob_asymptotic(r, T, P, roomy) == pytest.approx(ref, abs=5e-12)
+    def test_extreme_ratios_vs_quadrature(self):
+        # next to the boundary, where a truncated series of the log term
+        # drifts, and next to the origin, where its closed form cancels
+        for ratio in (0.99, 0.999):
+            r = ratio * CT
+            assert ball_prob_asymptotic(r, T, P) == pytest.approx(
+                integrate_ac_density_ball(r, T, P), abs=1e-10
+            )
+        r = 1e-4 * CT
+        assert ball_prob_asymptotic(r, T, P) == pytest.approx(
+            integrate_ac_density_ball(r, T, P), rel=1e-9
+        )
 
 
 class TestAccuracyFunctions:

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from markovflight import (
-    DEFAULT_TRUNCATION,
     DensityValue,
     FlightParams,
     McConfig,
@@ -13,7 +12,6 @@ from markovflight import (
     NonFinite,
     NonPositiveIntensity,
     NonPositiveSpeed,
-    SeriesTruncation,
     Vec3,
 )
 from markovflight.errors import DomainError
@@ -61,18 +59,6 @@ class TestVec3:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             Vec3(math.nan, 0.0, 0.0)
-
-
-class TestSeriesTruncation:
-    def test_defaults(self):
-        assert DEFAULT_TRUNCATION.max_terms == 200
-        assert DEFAULT_TRUNCATION.tail_tol == 1e-14
-
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            SeriesTruncation(max_terms=0)
-        with pytest.raises(DomainError):
-            SeriesTruncation(max_terms=10, tail_tol=-1.0)
 
 
 class TestDensityValue:
