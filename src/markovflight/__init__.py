@@ -48,9 +48,7 @@ from .montecarlo import (
     estimate_cf,
     estimate_conditional_cf,
     radial_histogram,
-    sample_direction,
     sample_position,
-    sample_position_given_n,
     sample_positions,
     sample_positions_given_n,
     substream,
@@ -109,9 +107,7 @@ __all__ = [
     "estimate_cf",
     "estimate_conditional_cf",
     "radial_histogram",
-    "sample_direction",
     "sample_position",
-    "sample_position_given_n",
     "sample_positions",
     "sample_positions_given_n",
     "substream",

@@ -27,9 +27,11 @@ _SMALL_X = 1e-3
 # The Bessel series stop at the first term below _TAIL_TOL and raise
 # TruncationNotConverged after _MAX_TERMS terms.  A larger budget would not
 # widen their range: with 400 terms, x = 200 and 300 give H_2 = 1e22 and
-# 1e43 instead of raising.
+# 1e43 instead of raising.  The sum keeps about (largest term) * 2^-52 of
+# rounding error, so they also raise once that passes _ROUNDING_TOL (x > ~37).
 _MAX_TERMS = 200
 _TAIL_TOL = 1e-14
+_ROUNDING_TOL = 1e-13
 
 _LOG2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -77,6 +79,22 @@ def h1(q: FreqQuery, p: FlightParams) -> float:
     return (math.sin(x) * si(2.0 * x) + math.cos(x) * neg_cin(2.0 * x)) / (x * x)
 
 
+def _bessel_series(name: str, x: float, term) -> float:
+    """Sum term(k) for k = 0, 1, ... up to the first term below _TAIL_TOL."""
+    total = peak = 0.0
+    for k in range(_MAX_TERMS):
+        value = term(k)
+        peak = max(peak, abs(value))
+        if peak * 2.0**-52 > _ROUNDING_TOL:
+            raise TruncationNotConverged(f"{name} at x={x}: precision lost to terms of {peak:.3g}")
+        total += value
+        if abs(value) < _TAIL_TOL:
+            return total
+    raise TruncationNotConverged(
+        f"{name} at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
+    )
+
+
 def h2_series(q: FreqQuery, p: FlightParams) -> float:
     """Two-switch characteristic function as a Bessel series.
 
@@ -90,16 +108,10 @@ def h2_series(q: FreqQuery, p: FlightParams) -> float:
         xx = x * x
         return 1.0 - xx / 12.0 + 7.0 * xx * xx / 2700.0
     log_half_x = math.log(0.5 * x)
-    total = 0.0
-    for k in range(_MAX_TERMS):
-        coef = math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
-        term = coef * hyp5f4_unit(k) * bessel_j(Order.integer(k + 1), x)
-        total += term
-        if abs(term) < _TAIL_TOL:
-            return total
-    raise TruncationNotConverged(
-        f"H2 series at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
-    )
+    return _bessel_series("H2 series", x, lambda k: (
+        math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
+        * hyp5f4_unit(k) * bessel_j(Order.integer(k + 1), x)
+    ))
 
 
 def h3_series(q: FreqQuery, p: FlightParams) -> float:
@@ -113,21 +125,13 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
         xx = x * x
         return 1.0 - xx / 15.0 + 11.0 * xx * xx / 6300.0
     log_x = math.log(x)
-    total = 0.0
-    for k in range(_MAX_TERMS):
-        coef = (
-            3.0
-            * math.pi**1.5
-            * quartic_gamma(k)
-            * math.exp((k - 1.5) * log_x - (k + 1.5) * _LOG2 - log_gamma(k + 2.0))
-        )
-        term = coef * bessel_j(Order.half(k + 1), x)
-        total += term
-        if abs(term) < _TAIL_TOL:
-            return total
-    raise TruncationNotConverged(
-        f"H3 series at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
-    )
+    return _bessel_series("H3 series", x, lambda k: (
+        3.0
+        * math.pi**1.5
+        * quartic_gamma(k)
+        * math.exp((k - 1.5) * log_x - (k + 1.5) * _LOG2 - log_gamma(k + 2.0))
+        * bessel_j(Order.half(k + 1), x)
+    ))
 
 
 def h_asymptotic(q: FreqQuery, p: FlightParams) -> float:

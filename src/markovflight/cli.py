@@ -75,18 +75,11 @@ def _cmd_simulate(args) -> int:
         raise DomainError(f"t must be > 0, got {args.t}")
     cfg = McConfig(samples=args.samples, seed=args.seed)
     if args.raw:
-
-        def chunk_rows(i: int, size: int) -> list:
-            pos, ns = montecarlo.sample_positions(
-                args.t, p, size, montecarlo.substream(cfg.seed, i)
-            )
-            return [
-                f"{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{n}"
-                for (x1, x2, x3), n in zip(pos.tolist(), ns.tolist())
-            ]
-
         rows = ["x1,x2,x3,n_switches"]
-        for chunk in montecarlo._map_chunks(cfg, chunk_rows, 1):
+        for chunk in montecarlo._per_chunk(args.t, p, cfg, lambda pos, ns: [
+            f"{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{n}"
+            for (x1, x2, x3), n in zip(pos.tolist(), ns.tolist())
+        ]):
             rows += chunk
     else:
         if args.bins < 1:

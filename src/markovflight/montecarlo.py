@@ -8,7 +8,8 @@ the batch samplers use.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunk results are reduced in
-index order, so estimates are bit-identical for any worker count.
+index order, so estimates are bit-identical for any worker count.  The suite
+in `validate` reduces its passes with the same private per-chunk statistics.
 """
 from __future__ import annotations
 
@@ -26,9 +27,7 @@ __all__ = [
     "PathSample",
     "CfEstimate",
     "RadialHistogram",
-    "sample_direction",
     "sample_position",
-    "sample_position_given_n",
     "sample_positions",
     "sample_positions_given_n",
     "estimate_cf",
@@ -77,12 +76,6 @@ def _unit_vectors(rng: np.random.Generator, shape) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def sample_direction(rng: np.random.Generator) -> Vec3:
-    """One uniformly random unit vector."""
-    v = _unit_vectors(rng, ())
-    return Vec3(float(v[0]), float(v[1]), float(v[2]))
-
-
 def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> PathSample:
     """One endpoint, simulated literally: exponential gaps, straight segments."""
     if t <= 0:
@@ -103,28 +96,14 @@ def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> Path
     return PathSample(position=Vec3(*map(float, pos)), n_switches=n)
 
 
-def sample_position_given_n(
-    n: int, t: float, p: FlightParams, rng: np.random.Generator
-) -> Vec3:
-    """One endpoint conditioned on exactly n switches (sorted-uniform epochs)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
-    if n == 0:
-        v = _unit_vectors(rng, ())
-        return Vec3(*(float(p.c * t * c) for c in v))
-    epochs = np.sort(rng.uniform(0.0, t, n))
-    durations = np.diff(np.concatenate([[0.0], epochs, [t]]))
-    directions = _unit_vectors(rng, (n + 1,))
-    pos = p.c * (durations @ directions)
-    return Vec3(*map(float, pos))
-
-
 def sample_positions_given_n(
     n: int, t: float, p: FlightParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Batch of `size` endpoints conditioned on exactly n switches; shape (size, 3)."""
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if t <= 0:
+        raise DomainError(f"t must be > 0, got {t}")
     if n == 0:
         return p.c * t * _unit_vectors(rng, size)
     epochs = np.sort(rng.uniform(0.0, t, (size, n)), axis=1)
@@ -146,6 +125,8 @@ def sample_positions(
     induced extra segments have zero duration and the pad directions are
     multiplied away.
     """
+    if t <= 0:
+        raise DomainError(f"t must be > 0, got {t}")
     counts = rng.poisson(p.lam * t, size)
     max_n = int(counts.max()) if size else 0
     epochs = rng.uniform(0.0, t, (size, max_n))
@@ -160,21 +141,27 @@ def sample_positions(
     return positions, counts
 
 
-def _chunk_sizes(cfg: McConfig) -> list:
+def _per_chunk(
+    t: float, p: FlightParams, cfg: McConfig, fn, condition: Optional[int] = None, workers: int = 1
+) -> list:
+    """fn(positions, counts) of every chunk of the (seed, k) stream, in chunk order.
+
+    Chunk k is drawn once from substream(cfg.seed, k); with condition=n it
+    is drawn given exactly n switches and counts is None.
+    """
     full, rem = divmod(cfg.samples, cfg.chunk)
-    sizes = [cfg.chunk] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
+    sizes = [cfg.chunk] * full + ([rem] if rem else [])
 
+    def one(i: int, size: int):
+        rng = substream(cfg.seed, i)
+        if condition is None:
+            return fn(*sample_positions(t, p, size, rng))
+        return fn(sample_positions_given_n(condition, t, p, size, rng), None)
 
-def _map_chunks(cfg: McConfig, fn, workers: int) -> list:
-    """Apply fn(chunk_index, chunk_size) to every chunk, results in index order."""
-    sizes = _chunk_sizes(cfg)
     if workers <= 1:
-        return [fn(i, s) for i, s in enumerate(sizes)]
+        return [one(i, s) for i, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(one, range(len(sizes)), sizes))
 
 
 def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate:
@@ -188,25 +175,38 @@ def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), samples=n)
 
 
-def _cf_from_chunks(cfg: McConfig, positions_of_chunk, alpha_norm: float, workers: int):
-    def one(i: int, size: int):
-        pos = positions_of_chunk(substream(cfg.seed, i), size)
-        proj = alpha_norm * pos[:, 0]
-        cos_v = np.cos(proj)
-        sin_v = np.sin(proj)
-        return (
-            np.sum(cos_v),
-            np.sum(cos_v * cos_v),
-            np.sum(sin_v),
-            np.sum(sin_v * sin_v),
-        )
+def _cf_sums(pos: np.ndarray, alpha_norm: float) -> tuple:
+    proj = alpha_norm * pos[:, 0]
+    cos_v = np.cos(proj)
+    sin_v = np.sin(proj)
+    return np.sum(cos_v), np.sum(cos_v * cos_v), np.sum(sin_v), np.sum(sin_v * sin_v)
 
-    parts = np.array(_map_chunks(cfg, one, workers))
-    n = cfg.samples
+
+def _cf_estimate(parts, n: int) -> CfEstimate:
+    parts = np.array(parts)
     return CfEstimate(
         real=_mean_with_error(parts[:, 0], parts[:, 1], n),
         imag=_mean_with_error(parts[:, 2], parts[:, 3], n),
     )
+
+
+def _ball_hits(pos: np.ndarray, r: float) -> float:
+    return float(np.sum(np.linalg.norm(pos, axis=1) <= r))
+
+
+def _radial_counts(pos: np.ndarray, counts, edges: np.ndarray) -> tuple:
+    # no-switch rows are the sphere atom; conditional draws (counts None) have none
+    interior = np.ones(len(pos), dtype=bool) if counts is None else counts > 0
+    radii = np.linalg.norm(pos[interior], axis=1)
+    atom = len(pos) - int(np.count_nonzero(interior))
+    hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1]), bins=edges)
+    return hist.astype(float), atom
+
+
+def _radial_histogram(edges: np.ndarray, parts, n: int) -> RadialHistogram:
+    counts = np.sum([c for c, _ in parts], axis=0)
+    atom_total = sum(a for _, a in parts)
+    return RadialHistogram(edges=edges, masses=counts / n, atom_fraction=atom_total / n)
 
 
 def estimate_cf(
@@ -219,9 +219,8 @@ def estimate_cf(
     """
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
-    return _cf_from_chunks(
-        cfg, lambda rng, size: sample_positions(t, p, size, rng)[0], alpha_norm, workers
-    )
+    parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), workers=workers)
+    return _cf_estimate(parts, cfg.samples)
 
 
 def estimate_conditional_cf(
@@ -230,32 +229,23 @@ def estimate_conditional_cf(
     """Empirical characteristic function given exactly n switches."""
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_conditional_cf needs at least {_MIN_CF_SAMPLES} samples")
-    return _cf_from_chunks(
-        cfg,
-        lambda rng, size: sample_positions_given_n(n, t, p, size, rng),
-        alpha_norm,
-        workers,
-    )
+    parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), n, workers)
+    return _cf_estimate(parts, cfg.samples)
 
 
 def estimate_ball_prob(
     r: float, t: float, p: FlightParams, cfg: McConfig, workers: int = 1
 ) -> McEstimate:
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
+    if t <= 0:
+        raise DomainError(f"t must be > 0, got {t}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
     if r >= p.c * t:
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
-
-    def one(i: int, size: int):
-        pos, _ = sample_positions(t, p, size, substream(cfg.seed, i))
-        inside = np.linalg.norm(pos, axis=1) <= r
-        hits = float(np.sum(inside))
-        return hits, hits  # indicator squared is the indicator
-
-    parts = np.array(_map_chunks(cfg, one, workers))
-    return _mean_with_error(parts[:, 0], parts[:, 1], cfg.samples)
+    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r), workers=workers)
+    return _mean_with_error(hits, hits, cfg.samples)  # an indicator is its own square
 
 
 def radial_histogram(
@@ -273,32 +263,14 @@ def radial_histogram(
     (for n = 0 everything is atom).  Masses are fractions of the total sample
     count, so masses.sum() + atom_fraction == 1 exactly.
     """
+    if t <= 0:
+        raise DomainError(f"t must be > 0, got {t}")
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    ct = p.c * t
-    edges = np.linspace(0.0, ct, bins + 1)
-
-    def one(i: int, size: int):
-        rng = substream(cfg.seed, i)
-        if condition is None:
-            pos, counts = sample_positions(t, p, size, rng)
-            interior = counts > 0
-            radii = np.linalg.norm(pos[interior], axis=1)
-            atom = size - int(np.count_nonzero(interior))
-        elif condition == 0:
-            return np.zeros(bins), size
-        else:
-            pos = sample_positions_given_n(condition, t, p, size, rng)
-            radii = np.linalg.norm(pos, axis=1)
-            atom = 0
-        hist, _ = np.histogram(np.clip(radii, 0.0, ct), bins=edges)
-        return hist.astype(float), atom
-
-    parts = _map_chunks(cfg, one, workers)
-    counts = np.sum([c for c, _ in parts], axis=0)
-    atom_total = sum(a for _, a in parts)
-    return RadialHistogram(
-        edges=edges,
-        masses=counts / cfg.samples,
-        atom_fraction=atom_total / cfg.samples,
+    edges = np.linspace(0.0, p.c * t, bins + 1)
+    if condition == 0:
+        return RadialHistogram(edges=edges, masses=np.zeros(bins), atom_fraction=1.0)
+    parts = _per_chunk(
+        t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges), condition, workers
     )
+    return _radial_histogram(edges, parts, cfg.samples)

@@ -13,6 +13,7 @@ of its names.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -359,104 +360,108 @@ def _static_rows(p: FlightParams, t_list) -> list:
 # the Monte Carlo rows: every analytic object against simulation
 
 
-def _per_chunk(t: float, p: FlightParams, cfg: McConfig, fn) -> list:
-    """fn(positions, counts) of each chunk of the unconditional stream, in chunk order."""
-    return montecarlo._map_chunks(
-        cfg,
-        lambda i, size: fn(
-            *montecarlo.sample_positions(t, p, size, montecarlo.substream(cfg.seed, i))
-        ),
-        1,
-    )
+def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
+    """Cached getter for one pass over the (seed, chunk) stream at t: each
+    fn(positions, counts) in stats sees every chunk once, and the getter gives
+    its chunk values in chunk order.  A pass that raises fails each reader."""
+    return functools.cache(lambda: list(zip(*montecarlo._per_chunk(
+        t, p, cfg, lambda pos, counts: [fn(pos, counts) for fn in stats], condition
+    ))))
 
 
-def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
+def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture: bool) -> list:
+    """The unconditional rows at t, read from one pass over its stream; with
+    mixture, the pass also feeds the mixture row, which comes last."""
     lt = p.lam * t
     ct = p.c * t
+    n = cfg.samples
+    alpha = 2.0
+    r = 0.5 * p.c * t
+    edges = np.linspace(0.0, ct, 41)
 
-    def uncond():
-        alpha = 2.0
-        est = montecarlo.estimate_cf(alpha, t, p, cfg, 1)
+    def uncond(parts):
+        est = montecarlo._cf_estimate(parts, n)
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
         return (
             est.real.mean, charfun.h_asymptotic(q, p),
             3.0 * est.real.std_error + 5.0 * t**3,
         )
 
-    def atom():
-        hist = montecarlo.radial_histogram(t, p, cfg, bins=40, workers=1)
+    def atom(parts):
+        hist = montecarlo._radial_histogram(edges, parts, n)
         target = math.exp(-lt)
-        se = math.sqrt(target * (1.0 - target) / cfg.samples)
+        se = math.sqrt(target * (1.0 - target) / n)
         partition_gap = abs(float(np.sum(hist.masses)) + hist.atom_fraction - 1.0)
         return (
             hist.atom_fraction, target, 3.0 * se,
             f"histogram partition gap {partition_gap:.2e}",
         )
 
-    def ball():
-        r = 0.5 * p.c * t
-        est = montecarlo.estimate_ball_prob(r, t, p, cfg, 1)
+    def ball(hits):
+        est = montecarlo._mean_with_error(hits, hits, n)  # an indicator is its own square
         return (
             est.mean, density.ball_prob_asymptotic(r, t, p),
             3.0 * est.std_error + 5.0 * t**3,
         )
 
-    def support():
-        worst = max(_per_chunk(
-            t, p, cfg, lambda pos, _: float(np.linalg.norm(pos, axis=1).max()) / ct
-        ))
+    def support(radii):
+        worst = max(radii)
         return _bound(worst - 1.0 - 1e-12, detail=f"max ||X||/ct = {worst:.15f}")
 
-    def chisq():
-        width = 64
+    def lumped(_, ns):
+        bc = np.bincount(ns, minlength=64)
+        return np.append(bc[:63], bc[63:].sum())
 
-        def lumped(_, ns):
-            bc = np.bincount(ns, minlength=width)
-            return np.append(bc[: width - 1], bc[width - 1 :].sum())
-
-        counts = np.sum(_per_chunk(t, p, cfg, lumped), axis=0)
-        pmf = stats.poisson.pmf(np.arange(width), lt)
+    def chisq(parts):
+        counts = np.sum(parts, axis=0)
+        pmf = stats.poisson.pmf(np.arange(len(counts)), lt)
         # lump the tail so the tail bucket's expected count stays >= 5
-        tail_small = np.flatnonzero(cfg.samples * (1.0 - np.cumsum(pmf)) < 5.0)
-        k_hi = int(tail_small[0]) if tail_small.size else width - 1
+        tail_small = np.flatnonzero(n * (1.0 - np.cumsum(pmf)) < 5.0)
+        k_hi = int(tail_small[0]) if tail_small.size else len(counts) - 1
         k_hi = max(k_hi, 2)
         observed = np.append(counts[:k_hi], counts[k_hi:].sum())
-        expected = np.append(
-            pmf[:k_hi] * cfg.samples,
-            cfg.samples * (1.0 - pmf[:k_hi].sum()),
-        )
+        expected = np.append(pmf[:k_hi] * n, n * (1.0 - pmf[:k_hi].sum()))
         stat, pval = stats.chisquare(observed, expected)
         return _bound(0.01 - pval, detail=f"chi2={stat:.3f} p={pval:.4f} bins={k_hi + 1}")
 
-    def mean_pos():
+    def mean_pos(parts):
         # per-chunk sums are added in chunk order, starting from zero
-        sums, sumsq = sum(
-            _per_chunk(t, p, cfg, lambda pos, _: np.stack(
-                [pos.sum(axis=0), (pos * pos).sum(axis=0)]
-            )),
-            np.zeros((2, 3)),
-        )
-        n = cfg.samples
+        sums, sumsq = sum(parts, np.zeros((2, 3)))
         means = sums / n
         ses = np.sqrt((sumsq - sums * sums / n) / (n - 1) / n)
         return _bound(float(np.max(np.abs(means) - 3.0 * ses)))
 
+    # (name, per-chunk statistic, finisher over its chunk values)
+    table = [
+        (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos, alpha), uncond),
+        (f"mc_atom_fraction_t{t:g}",
+         lambda pos, ns: montecarlo._radial_counts(pos, ns, edges), atom),
+        (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r), ball),
+        (f"mc_support_t{t:g}",
+         lambda pos, _: float(np.linalg.norm(pos, axis=1).max()) / ct, support),
+        (f"mc_switch_chisquare_t{t:g}", lumped, chisq),
+        (f"mc_mean_position_t{t:g}",
+         lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),
+    ]
+    if mixture:
+        edges20 = np.linspace(0.0, ct, 21)
+        table.append((
+            "mc_mixture_coherence",
+            lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20),
+            lambda parts: _mixture(p, t, cfg, montecarlo._radial_histogram(edges20, parts, n)),
+        ))
+    columns = _pass(t, p, cfg, [stat for _, stat, _ in table])
     return [
-        (f"mc_uncond_cf_t{t:g}", uncond),
-        (f"mc_atom_fraction_t{t:g}", atom),
-        (f"mc_ball_prob_t{t:g}", ball),
-        (f"mc_support_t{t:g}", support),
-        (f"mc_switch_chisquare_t{t:g}", chisq),
-        (f"mc_mean_position_t{t:g}", mean_pos),
+        (name, lambda k=k, finish=finish: finish(columns()[k]))
+        for k, (name, _, finish) in enumerate(table)
     ]
 
 
-def _mixture(p: FlightParams, t0: float, cfg: McConfig) -> tuple:
+def _mixture(p: FlightParams, t0: float, cfg: McConfig, unc) -> tuple:
     # mixing the conditional samplers over Poisson weights must reproduce
-    # the unconditional radial histogram bin by bin
-    bins = 20
+    # the unconditional radial histogram unc bin by bin
+    bins = len(unc.masses)
     lt = p.lam * t0
-    unc = montecarlo.radial_histogram(t0, p, cfg, bins=bins, workers=1)
     pmf = stats.poisson.pmf(np.arange(32), lt)
     n_hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-6)) + 1
     mix = np.zeros(bins)
@@ -498,29 +503,35 @@ def _determinism(p: FlightParams, t0: float, cfg: McConfig) -> list:
 
 def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
-    worst_imag_ratio = 0.0  # over the conditional rows, read by the symmetry row
+    xs = (0.3, 0.5, 1.0, 2.0, 3.0)
+    alphas = [x / (p.c * t0) for x in xs]
+    # one pass per switch count gives the CF sums at every frequency
+    cf_sums = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
+    passes = {n: _pass(t0, p, cfg, cf_sums, condition=n) for n in (1, 2, 3)}
 
-    def conditional(n, analytic, x):
-        nonlocal worst_imag_ratio
-        alpha = x / (p.c * t0)
-        est = montecarlo.estimate_conditional_cf(n, alpha, t0, p, cfg, 1)
-        if est.imag.std_error > 0:
-            worst_imag_ratio = max(worst_imag_ratio, abs(est.imag.mean) / est.imag.std_error)
-        q = charfun.FreqQuery(alpha_norm=alpha, t=t0)
+    def conditional(n, analytic, j):
+        est = montecarlo._cf_estimate(passes[n]()[j], cfg.samples)
+        q = charfun.FreqQuery(alpha_norm=alphas[j], t=t0)
         return est.real.mean, analytic(q, p), 3.0 * est.real.std_error
 
+    def imag_symmetry():
+        imags = [montecarlo._cf_estimate(parts, cfg.samples).imag
+                 for n in (1, 2, 3) for parts in passes[n]()]
+        worst = max([0.0] + [abs(e.mean) / e.std_error for e in imags if e.std_error > 0])
+        return _bound(worst - 3.0, detail=f"worst |imag|/se = {worst:.3f}")
+
     rows = [
-        (f"mc_conditional_cf_n{n}_x{x:g}", lambda n=n, h=h, x=x: conditional(n, h, x))
+        (f"mc_conditional_cf_n{n}_x{x:g}", lambda n=n, h=h, j=j: conditional(n, h, j))
         for n, h in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series))
-        for x in (0.3, 0.5, 1.0, 2.0, 3.0)
+        for j, x in enumerate(xs)
     ]
-    rows.append(("mc_cf_imag_symmetry", lambda: _bound(
-        worst_imag_ratio - 3.0, detail=f"worst |imag|/se = {worst_imag_ratio:.3f}"
-    )))
-    for t in t_list:
-        rows += _mc_rows_at(p, t, cfg)
+    rows.append(("mc_cf_imag_symmetry", imag_symmetry))
+    *rows_t0, mixture = _mc_rows_at(p, t0, cfg, mixture=True)
+    rows += rows_t0
+    for t in t_list[1:]:
+        rows += _mc_rows_at(p, t, cfg, mixture=False)
     return rows + [
-        ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg)),
+        mixture,
         (("mc_direction_component_means", "mc_direction_ks_uniform"), lambda: _directions(cfg)),
         (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
     ]
@@ -550,7 +561,7 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
 
     quick=True restricts the run to the deterministic (non Monte Carlo)
     subset.  The full default suite uses 1e6 samples per estimate and a fixed
-    seed, so it is deterministic as well.
+    seed, so it is deterministic as well; it needs at least 1e4 samples.
     """
     if p is None:
         p = FlightParams(c=5.0, lam=2.0)
@@ -558,6 +569,10 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
         t_list = (0.1,)
     if cfg is None:
         cfg = McConfig(samples=10**6, seed=DEFAULT_SEED)
+    if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
+        raise DomainError(
+            f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"
+        )
     rows = _static_rows(p, t_list)
     if not quick:
         rows += _mc_rows(p, t_list, cfg)

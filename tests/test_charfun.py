@@ -1,14 +1,14 @@
 """Conditional characteristic functions and the small-time approximation.
 
-h1 is rebuilt in the test from scipy's sine/cosine integrals; h2/h3 carry
+h1 is rebuilt in the test from mpmath's sine/cosine integrals; h2/h3 carry
 frozen regression values (checked against conditional Monte Carlo in the
 acceptance tests) plus structural properties: value 1 at zero frequency,
 |H| <= 1, continuity across the small-argument Taylor guard.
 """
 import math
 
+import mpmath
 import pytest
-from scipy import special
 
 from markovflight import (
     FlightParams,
@@ -20,9 +20,8 @@ from markovflight import (
     h3_series,
     h_asymptotic,
 )
-from markovflight.errors import DomainError, TruncationNotConverged
+from markovflight.errors import DomainError, MarkovFlightError, TruncationNotConverged
 
-EULER_GAMMA = 0.5772156649015328606
 P = FlightParams(c=5.0, lam=2.0)
 
 
@@ -31,9 +30,14 @@ def query_for_x(x: float, t: float = 0.1) -> FreqQuery:
 
 
 def h1_reference(x: float) -> float:
-    """[sin(x) Si(2x) + cos(x) (Ci(2x) - ln(2x) - gamma)] / x^2 via scipy."""
-    s, c = special.sici(2.0 * x)
-    return (math.sin(x) * s + math.cos(x) * (c - math.log(2.0 * x) - EULER_GAMMA)) / (x * x)
+    """[sin(x) Si(2x) + cos(x) (Ci(2x) - ln(2x) - gamma)] / x^2 in mpmath at 40 digits.
+
+    Shares no code path with h1, which takes Si and Ci from scipy.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        cin = mpmath.ci(2 * x) - mpmath.log(2 * x) - mpmath.euler
+        return float((mpmath.sin(x) * mpmath.si(2 * x) + mpmath.cos(x) * cin) / (x * x))
 
 
 class TestFreqQuery:
@@ -61,7 +65,7 @@ class TestH0:
 
 
 class TestH1:
-    @pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 60.0])
     def test_vs_scipy_reference(self, x):
         assert h1(query_for_x(x), P) == pytest.approx(h1_reference(x), abs=1e-13)
 
@@ -133,6 +137,14 @@ class TestH2H3:
             h2_series(query_for_x(5.0), P)
         with pytest.raises(TruncationNotConverged):
             h3_series(query_for_x(5.0), P)
+
+    @pytest.mark.parametrize("x", [60.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("fn", [h2_series, h3_series])
+    def test_large_x_raises(self, fn, x):
+        # past x ~ 37 the alternating terms outgrow the double-precision sum;
+        # at x = 100 H_2 used to come back as -13.08 and at 1e4 as an OverflowError
+        with pytest.raises(MarkovFlightError):
+            fn(query_for_x(x), P)
 
 
 class TestHAsymptotic:

@@ -21,9 +21,7 @@ from markovflight import (
     h1,
     h_asymptotic,
     radial_histogram,
-    sample_direction,
     sample_position,
-    sample_position_given_n,
     sample_positions,
     sample_positions_given_n,
     substream,
@@ -54,12 +52,6 @@ class TestSubstream:
 
 
 class TestSampling:
-    def test_direction_unit_norm(self):
-        rng = substream(SEED, 0)
-        for _ in range(100):
-            v = sample_direction(rng)
-            assert v.norm() == pytest.approx(1.0, abs=1e-12)
-
     def test_scalar_position_support_and_counts(self):
         rng = substream(SEED, 1)
         for _ in range(500):
@@ -72,12 +64,6 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_position(0.0, P, substream(SEED, 0))
 
-    def test_conditional_zero_switches_is_atom(self):
-        rng = substream(SEED, 2)
-        for _ in range(50):
-            v = sample_position_given_n(0, T, P, rng)
-            assert v.norm() == pytest.approx(CT, rel=1e-12)
-
     def test_conditional_batch_zero_switches_is_atom(self):
         pos = sample_positions_given_n(0, T, P, 1000, substream(SEED, 3))
         assert np.allclose(np.linalg.norm(pos, axis=1), CT, rtol=1e-12)
@@ -89,7 +75,7 @@ class TestSampling:
 
     def test_conditional_negative_n(self):
         with pytest.raises(DomainError):
-            sample_position_given_n(-1, T, P, substream(SEED, 0))
+            sample_positions_given_n(-1, T, P, 10, substream(SEED, 0))
 
     def test_batch_support_and_counts(self):
         pos, ns = sample_positions(T, P, 5000, substream(SEED, 5))
@@ -117,6 +103,29 @@ class TestSampling:
         batch = np.linalg.norm(sample_positions(T, P, n, substream(SEED, 9))[0], axis=1)
         se = math.sqrt(scalar.var() / n + batch.var() / n)
         assert scalar.mean() == pytest.approx(batch.mean(), abs=4.0 * se)
+
+
+_CFG = McConfig(samples=10_000, seed=SEED)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_positions(-0.1, P, 10, substream(SEED, 0)),
+    lambda: sample_positions_given_n(2, -0.1, P, 10, substream(SEED, 0)),
+    lambda: estimate_cf(2.0, -0.1, P, _CFG),
+    lambda: estimate_conditional_cf(1, 2.0, -0.1, P, _CFG),
+    lambda: estimate_ball_prob(0.1, -0.1, P, _CFG),
+    lambda: radial_histogram(-0.1, P, _CFG, bins=10),
+    lambda: radial_histogram(-0.1, P, _CFG, bins=10, condition=0),
+    lambda: radial_histogram(T, P, _CFG, bins=10, condition=-2),
+], ids=[
+    "sample_positions", "sample_positions_given_n", "estimate_cf",
+    "estimate_conditional_cf", "estimate_ball_prob", "radial_histogram",
+    "radial_histogram_no_switch", "radial_histogram_negative_condition",
+])
+def test_bad_time_or_count_is_domain_error(call):
+    # numpy's own ValueError (lam < 0, negative dimensions) must not leak out
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestEstimateCf:

@@ -4,13 +4,18 @@ import math
 import pytest
 
 from markovflight import (
+    DEFAULT_SEED,
     CheckReport,
     FlightParams,
     McConfig,
     ball_prob_asymptotic,
+    estimate_ball_prob,
+    estimate_cf,
+    estimate_conditional_cf,
     g_tilde,
     integrate_ac_density,
     integrate_ac_density_ball,
+    radial_histogram,
     report_lines,
     reports_to_csv,
     run_suite,
@@ -171,13 +176,13 @@ class TestRunSuite:
         assert failed == []
 
     def test_raising_rows_fail_every_name(self, monkeypatch):
-        # each grouped row reports all of its names as failed when it raises,
-        # so the suite's total never shrinks
+        # each row that raises, or reads a pass that raises, reports all of
+        # its names as failed, so the suite's total never shrinks
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(specfun, "si", boom)
-        monkeypatch.setattr(montecarlo, "estimate_cf", boom)
+        monkeypatch.setattr(montecarlo, "sample_positions", boom)
         monkeypatch.setattr(validate.stats, "kstest", boom)
         reports = run_suite(cfg=McConfig(samples=10**4, seed=20260814))
         assert [r.name for r in reports] == FULL_NAMES
@@ -186,6 +191,12 @@ class TestRunSuite:
             "si_against_reference",
             "neg_cin_against_reference",
             "mc_uncond_cf_t0.1",
+            "mc_atom_fraction_t0.1",
+            "mc_ball_prob_t0.1",
+            "mc_support_t0.1",
+            "mc_switch_chisquare_t0.1",
+            "mc_mean_position_t0.1",
+            "mc_mixture_coherence",
             "mc_direction_component_means",
             "mc_direction_ks_uniform",
             "mc_determinism_rerun",
@@ -194,6 +205,11 @@ class TestRunSuite:
             assert name in failed
             assert math.isnan(failed[name].lhs)
             assert failed[name].detail == "RuntimeError: injected"
+
+    def test_too_few_samples_raises_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(validate, "_run", None)  # the floor comes before any row
+        with pytest.raises(DomainError):
+            run_suite(cfg=McConfig(samples=montecarlo._MIN_CF_SAMPLES - 1, seed=1))
 
     def test_report_lines_format(self):
         reports = run_suite(quick=True)
@@ -208,3 +224,48 @@ class TestRunSuite:
         assert rows[0] == "name,lhs,rhs,tolerance,passed"
         assert len(rows) == len(reports) + 1
         assert rows[1].endswith(("true", "false"))
+
+
+MC_CFG = McConfig(samples=10**5, seed=DEFAULT_SEED)
+
+
+@pytest.fixture(scope="module")
+def counted_suite():
+    """run_suite at 1e5 samples, with the samples each batch sampler was asked for."""
+    drawn = {"sample_positions": 0, "sample_positions_given_n": 0}
+    originals = {name: getattr(montecarlo, name) for name in drawn}
+
+    def counting(name):
+        def sampler(*args):
+            drawn[name] += args[-2]  # size comes just before the generator
+            return originals[name](*args)
+
+        return sampler
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in drawn:
+            mp.setattr(montecarlo, name, counting(name))
+        reports = run_suite(cfg=MC_CFG)
+    return {r.name: r for r in reports}, drawn
+
+
+class TestSinglePass:
+    def test_each_stream_is_drawn_once(self, counted_suite):
+        # one unconditional pass plus three determinism runs; one pass per
+        # switch count n = 1..3 plus the mixture's six conditional histograms
+        _, drawn = counted_suite
+        assert drawn == {"sample_positions": 4 * 10**5, "sample_positions_given_n": 9 * 10**5}
+
+    def test_rows_equal_the_public_estimators(self, counted_suite):
+        reports, _ = counted_suite
+        t = 0.1
+        assert reports["mc_uncond_cf_t0.1"].lhs == estimate_cf(2.0, t, P, MC_CFG).real.mean
+        assert reports["mc_ball_prob_t0.1"].lhs == (
+            estimate_ball_prob(0.5 * P.c * t, t, P, MC_CFG).mean
+        )
+        assert reports["mc_atom_fraction_t0.1"].lhs == (
+            radial_histogram(t, P, MC_CFG, bins=40).atom_fraction
+        )
+        assert reports["mc_conditional_cf_n2_x1"].lhs == (
+            estimate_conditional_cf(2, 1.0 / (P.c * t), t, P, MC_CFG).real.mean
+        )
