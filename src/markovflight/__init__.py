@@ -42,13 +42,11 @@ from .model import (
 )
 from .montecarlo import (
     CfEstimate,
-    PathSample,
     RadialHistogram,
     estimate_ball_prob,
     estimate_cf,
     estimate_conditional_cf,
     radial_histogram,
-    sample_position,
     sample_positions,
     sample_positions_given_n,
     substream,
@@ -101,13 +99,11 @@ __all__ = [
     "McEstimate",
     "Vec3",
     "CfEstimate",
-    "PathSample",
     "RadialHistogram",
     "estimate_ball_prob",
     "estimate_cf",
     "estimate_conditional_cf",
     "radial_histogram",
-    "sample_position",
     "sample_positions",
     "sample_positions_given_n",
     "substream",

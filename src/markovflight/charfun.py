@@ -24,10 +24,10 @@ __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 # error is ~1e-14 at the cutoff.
 _SMALL_X = 1e-3
 
-# The Bessel series stop at the first term below _TAIL_TOL and raise
-# TruncationNotConverged after _MAX_TERMS terms.  A larger budget would not
-# widen their range: with 400 terms, x = 200 and 300 give H_2 = 1e22 and
-# 1e43 instead of raising.  The sum keeps about (largest term) * 2^-52 of
+# The Bessel series stop at the first term below _TAIL_TOL past the peak of
+# the terms (k + 1 > x) and raise TruncationNotConverged after _MAX_TERMS
+# terms.  A larger budget would not widen their range: with 400 terms,
+# x = 200 and 300 give H_2 = 1e22 and 1e43 instead of raising.  The sum keeps about (largest term) * 2^-52 of
 # rounding error, so they also raise once that passes _ROUNDING_TOL (x > ~37).
 _MAX_TERMS = 200
 _TAIL_TOL = 1e-14
@@ -80,7 +80,8 @@ def h1(q: FreqQuery, p: FlightParams) -> float:
 
 
 def _bessel_series(name: str, x: float, term) -> float:
-    """Sum term(k) for k = 0, 1, ... up to the first term below _TAIL_TOL."""
+    """Sum term(k) for k = 0, 1, ... up to the first term below _TAIL_TOL
+    with k + 1 > x; before that the terms may still be growing."""
     total = peak = 0.0
     for k in range(_MAX_TERMS):
         value = term(k)
@@ -88,7 +89,7 @@ def _bessel_series(name: str, x: float, term) -> float:
         if peak * 2.0**-52 > _ROUNDING_TOL:
             raise TruncationNotConverged(f"{name} at x={x}: precision lost to terms of {peak:.3g}")
         total += value
-        if abs(value) < _TAIL_TOL:
+        if abs(value) < _TAIL_TOL and k + 1 > x:
             return total
     raise TruncationNotConverged(
         f"{name} at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"

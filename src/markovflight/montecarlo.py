@@ -3,8 +3,10 @@
 Sampling law: direction switches occur at the events of a Poisson(lam)
 process; between events the particle travels straight at speed c with a
 direction drawn uniformly on the unit sphere.  Conditioned on N(t) = n the
-switch epochs are the order statistics of n uniforms on (0, t), which is what
-the batch samplers use.
+switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
+segment lengths are n + 1 standard exponentials scaled to sum to t.  The
+batch samplers draw exactly that many segments per path, laid end to end in
+one flat array, and add each path's segments with np.add.reduceat.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunk results are reduced in
@@ -15,19 +17,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .model import FlightParams, McConfig, McEstimate, Vec3
+from .model import FlightParams, McConfig, McEstimate
 
 __all__ = [
-    "PathSample",
     "CfEstimate",
     "RadialHistogram",
-    "sample_position",
     "sample_positions",
     "sample_positions_given_n",
     "estimate_cf",
@@ -38,14 +37,6 @@ __all__ = [
 
 # Fewest samples the characteristic-function estimators accept.
 _MIN_CF_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated endpoint with its switch count."""
-
-    position: Vec3
-    n_switches: int
 
 
 class CfEstimate(NamedTuple):
@@ -68,32 +59,38 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _unit_vectors(rng: np.random.Generator, shape) -> np.ndarray:
+def _unit_vectors(rng: np.random.Generator, k: int) -> np.ndarray:
     # uniform on S^2: cos(colatitude) uniform on [-1,1], longitude uniform
-    z = rng.uniform(-1.0, 1.0, shape)
-    phi = rng.uniform(0.0, 2.0 * math.pi, shape)
+    z = rng.uniform(-1.0, 1.0, k)
+    phi = rng.uniform(0.0, 2.0 * math.pi, k)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    out = np.empty((k, 3))
+    np.multiply(s, np.cos(phi), out=out[:, 0])
+    np.multiply(s, np.sin(phi), out=out[:, 1])
+    out[:, 2] = z
+    return out
 
 
-def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> PathSample:
-    """One endpoint, simulated literally: exponential gaps, straight segments."""
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
-    pos = np.zeros(3)
-    elapsed = 0.0
-    n = 0
-    while True:
-        gap = rng.exponential(1.0 / p.lam)
-        direction = _unit_vectors(rng, ())
-        if elapsed + gap >= t:
-            pos += (t - elapsed) * direction
-            break
-        pos += gap * direction
-        elapsed += gap
-        n += 1
-    pos *= p.c
-    return PathSample(position=Vec3(*map(float, pos)), n_switches=n)
+def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Generator) -> np.ndarray:
+    """Endpoints of paths with counts[i] switches each; shape (len(counts), 3).
+
+    Row i has counts[i] + 1 segments, all rows laid end to end.  A row's
+    segment lengths are its standard exponentials scaled to sum to t: the
+    gaps between n sorted uniform epochs on (0, t) have exactly that law.
+    Nothing is sorted, so no rounding can reorder epochs into a negative
+    segment, and each row's length sums to ct up to rounding.
+    """
+    size = len(counts)
+    if size == 0:
+        return np.zeros((0, 3))
+    segments = counts + 1
+    starts = np.zeros(size, dtype=np.intp)
+    np.cumsum(segments[:-1], out=starts[1:])
+    gaps = rng.standard_exponential(int(segments.sum()))
+    steps = _unit_vectors(rng, len(gaps))
+    steps *= gaps[:, None]
+    scale = (p.c * t) / np.add.reduceat(gaps, starts)
+    return np.add.reduceat(steps, starts, axis=0) * scale[:, None]
 
 
 def sample_positions_given_n(
@@ -104,15 +101,7 @@ def sample_positions_given_n(
         raise DomainError(f"n must be >= 0, got {n}")
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
-    if n == 0:
-        return p.c * t * _unit_vectors(rng, size)
-    epochs = np.sort(rng.uniform(0.0, t, (size, n)), axis=1)
-    knots = np.concatenate(
-        [np.zeros((size, 1)), epochs, np.full((size, 1), t)], axis=1
-    )
-    durations = np.diff(knots, axis=1)
-    directions = _unit_vectors(rng, (size, n + 1))
-    return p.c * np.einsum("ij,ijk->ik", durations, directions)
+    return _endpoints(np.full(size, n), t, p, rng)
 
 
 def sample_positions(
@@ -121,24 +110,13 @@ def sample_positions(
     """Batch of `size` unconditional endpoints.
 
     Returns (positions, counts) with shapes (size, 3) and (size,).  Counts are
-    Poisson(lam t); epochs beyond each sample's count are pinned to t so the
-    induced extra segments have zero duration and the pad directions are
-    multiplied away.
+    Poisson(lam t); each path then draws exactly counts + 1 segments, so no
+    row is padded and nothing is sorted.
     """
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
     counts = rng.poisson(p.lam * t, size)
-    max_n = int(counts.max()) if size else 0
-    epochs = rng.uniform(0.0, t, (size, max_n))
-    epochs[np.arange(max_n) >= counts[:, None]] = t
-    epochs.sort(axis=1)
-    knots = np.concatenate(
-        [np.zeros((size, 1)), epochs, np.full((size, 1), t)], axis=1
-    )
-    durations = np.diff(knots, axis=1)
-    directions = _unit_vectors(rng, (size, max_n + 1))
-    positions = p.c * np.einsum("ij,ijk->ik", durations, directions)
-    return positions, counts
+    return _endpoints(counts, t, p, rng), counts
 
 
 def _per_chunk(

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
+_MIXTURE_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -369,9 +370,10 @@ def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
     ))))
 
 
-def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture: bool) -> list:
-    """The unconditional rows at t, read from one pass over its stream; with
-    mixture, the pass also feeds the mixture row, which comes last."""
+def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture=None) -> list:
+    """The unconditional rows at t, read from one pass over its stream; a
+    mixture finisher, given the pass's 20-bin radial histogram, adds the
+    mixture row last."""
     lt = p.lam * t
     ct = p.c * t
     n = cfg.samples
@@ -443,12 +445,12 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture: bool) -> list
         (f"mc_mean_position_t{t:g}",
          lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),
     ]
-    if mixture:
-        edges20 = np.linspace(0.0, ct, 21)
+    if mixture is not None:
+        edges20 = np.linspace(0.0, ct, _MIXTURE_BINS + 1)
         table.append((
             "mc_mixture_coherence",
             lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20),
-            lambda parts: _mixture(p, t, cfg, montecarlo._radial_histogram(edges20, parts, n)),
+            lambda parts: mixture(montecarlo._radial_histogram(edges20, parts, n)),
         ))
     columns = _pass(t, p, cfg, [stat for _, stat, _ in table])
     return [
@@ -457,25 +459,32 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture: bool) -> list
     ]
 
 
-def _mixture(p: FlightParams, t0: float, cfg: McConfig, unc) -> tuple:
+def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, unc) -> tuple:
     # mixing the conditional samplers over Poisson weights must reproduce
-    # the unconditional radial histogram unc bin by bin
+    # the unconditional radial histogram unc bin by bin; n = 1..3 come from
+    # the conditional-CF passes, the rarer counts from streams sized by weight
     bins = len(unc.masses)
     lt = p.lam * t0
     pmf = stats.poisson.pmf(np.arange(32), lt)
     n_hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-6)) + 1
     mix = np.zeros(bins)
     var_mix = np.zeros(bins)
+    sizes = []
     for n in range(1, n_hi + 1):
-        cond_cfg = McConfig(samples=cfg.samples, seed=cfg.seed + n, chunk=cfg.chunk)
-        cond = montecarlo.radial_histogram(
-            t0, p, cond_cfg, bins=bins, condition=n, workers=1
-        )
-        mix += pmf[n] * cond.masses
-        var_mix += (pmf[n] ** 2) * cond.masses * (1.0 - cond.masses) / cfg.samples
+        if n in cond_passes:
+            size = cfg.samples
+            masses = montecarlo._radial_histogram(unc.edges, cond_passes[n]()[-1], size).masses
+        else:
+            size = max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3]))
+            cond_cfg = McConfig(samples=size, seed=cfg.seed + n, chunk=cfg.chunk)
+            masses = montecarlo.radial_histogram(t0, p, cond_cfg, bins=bins, condition=n).masses
+        mix += pmf[n] * masses
+        var_mix += (pmf[n] ** 2) * masses * (1.0 - masses) / size
+        sizes.append(f"{size:.3g}".replace("e+0", "e").replace("e+", "e"))
     se_unc = np.sqrt(unc.masses * (1.0 - unc.masses) / cfg.samples)
     tol_bins = 3.0 * np.sqrt(se_unc**2 + var_mix) + pmf[n_hi + 1 :].sum() + 1e-12
-    return _bound(float(np.max(np.abs(unc.masses - mix) - tol_bins)))
+    margin = float(np.max(np.abs(unc.masses - mix) - tol_bins))
+    return _bound(margin, detail=f"worst bin margin {margin:.3g}; n=1..{n_hi}: {','.join(sizes)}")
 
 
 def _directions(cfg: McConfig) -> list:
@@ -505,9 +514,15 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     xs = (0.3, 0.5, 1.0, 2.0, 3.0)
     alphas = [x / (p.c * t0) for x in xs]
-    # one pass per switch count gives the CF sums at every frequency
-    cf_sums = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
-    passes = {n: _pass(t0, p, cfg, cf_sums, condition=n) for n in (1, 2, 3)}
+    edges20 = np.linspace(0.0, p.c * t0, _MIXTURE_BINS + 1)
+    # one pass per switch count n, keyed seed + n, gives the CF sums at every
+    # frequency and, last, the radial histogram the mixture row reads
+    stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
+    stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20))
+    passes = {
+        n: _pass(t0, p, McConfig(cfg.samples, cfg.seed + n, cfg.chunk), stats_n, condition=n)
+        for n in (1, 2, 3)
+    }
 
     def conditional(n, analytic, j):
         est = montecarlo._cf_estimate(passes[n]()[j], cfg.samples)
@@ -516,7 +531,7 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
 
     def imag_symmetry():
         imags = [montecarlo._cf_estimate(parts, cfg.samples).imag
-                 for n in (1, 2, 3) for parts in passes[n]()]
+                 for n in (1, 2, 3) for parts in passes[n]()[:len(xs)]]
         worst = max([0.0] + [abs(e.mean) / e.std_error for e in imags if e.std_error > 0])
         return _bound(worst - 3.0, detail=f"worst |imag|/se = {worst:.3f}")
 
@@ -526,10 +541,12 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
         for j, x in enumerate(xs)
     ]
     rows.append(("mc_cf_imag_symmetry", imag_symmetry))
-    *rows_t0, mixture = _mc_rows_at(p, t0, cfg, mixture=True)
+    *rows_t0, mixture = _mc_rows_at(
+        p, t0, cfg, mixture=lambda unc: _mixture(p, t0, cfg, passes, unc)
+    )
     rows += rows_t0
     for t in t_list[1:]:
-        rows += _mc_rows_at(p, t, cfg, mixture=False)
+        rows += _mc_rows_at(p, t, cfg)
     return rows + [
         mixture,
         (("mc_direction_component_means", "mc_direction_ks_uniform"), lambda: _directions(cfg)),

@@ -3,12 +3,16 @@
 Distributional agreement with the closed forms at production sample counts
 lives in the acceptance tests; here the samples are small and the assertions
 are structural (exact support, exact determinism, partition of mass) or
-generous (4 sigma) so the suite stays fast and seed-robust.
+generous (4 sigma) so the suite stays fast and seed-robust.  The batch law
+is checked against `sample_position`, a literal one-path simulator defined
+here that shares no code with the package's samplers.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from markovflight import (
     FlightParams,
@@ -21,7 +25,6 @@ from markovflight import (
     h1,
     h_asymptotic,
     radial_histogram,
-    sample_position,
     sample_positions,
     sample_positions_given_n,
     substream,
@@ -32,6 +35,44 @@ P = FlightParams(c=5.0, lam=2.0)
 T = 0.1
 CT = P.c * T
 SEED = 20260814
+# dense switching: about three switches per path
+P_DENSE = FlightParams(c=5.0, lam=3.0)
+T_DENSE = 1.0
+CT_DENSE = P_DENSE.c * T_DENSE
+
+
+@dataclass(frozen=True)
+class PathSample:
+    """One simulated endpoint with its switch count."""
+
+    position: Vec3
+    n_switches: int
+
+
+def _reference_direction(rng: np.random.Generator) -> np.ndarray:
+    # a normalised standard normal vector is uniform on the sphere
+    v = rng.standard_normal(3)
+    return v / math.sqrt(float(v @ v))
+
+
+def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> PathSample:
+    """One endpoint, simulated literally: exponential gaps, straight segments."""
+    if t <= 0:
+        raise DomainError(f"t must be > 0, got {t}")
+    pos = np.zeros(3)
+    elapsed = 0.0
+    n = 0
+    while True:
+        gap = rng.exponential(1.0 / p.lam)
+        direction = _reference_direction(rng)
+        if elapsed + gap >= t:
+            pos += (t - elapsed) * direction
+            break
+        pos += gap * direction
+        elapsed += gap
+        n += 1
+    pos *= p.c
+    return PathSample(position=Vec3(*map(float, pos)), n_switches=n)
 
 
 class TestSubstream:
@@ -103,6 +144,48 @@ class TestSampling:
         batch = np.linalg.norm(sample_positions(T, P, n, substream(SEED, 9))[0], axis=1)
         se = math.sqrt(scalar.var() / n + batch.var() / n)
         assert scalar.mean() == pytest.approx(batch.mean(), abs=4.0 * se)
+
+
+class TestDenseSwitching:
+    """The ragged samplers at lambda*t = 3, where paths carry several segments."""
+
+    def test_radial_law_per_count_matches_reference(self):
+        # two-sample KS of ||X|| given N = n: literal paths against both batch samplers
+        rng = substream(SEED, 11)
+        ref = [sample_position(T_DENSE, P_DENSE, rng) for _ in range(20_000)]
+        ref_r = np.array([s.position.norm() for s in ref])
+        ref_n = np.array([s.n_switches for s in ref])
+        pos, ns = sample_positions(T_DENSE, P_DENSE, 100_000, substream(SEED, 12))
+        radii = np.linalg.norm(pos, axis=1)
+        for n in (1, 2, 3):
+            given = sample_positions_given_n(n, T_DENSE, P_DENSE, 20_000, substream(SEED, 12 + n))
+            for sample in (radii[ns == n], np.linalg.norm(given, axis=1)):
+                assert stats.ks_2samp(ref_r[ref_n == n], sample).pvalue > 1e-3
+
+    def test_support(self):
+        pos, _ = sample_positions(T_DENSE, P_DENSE, 50_000, substream(SEED, 16))
+        given = sample_positions_given_n(7, T_DENSE, P_DENSE, 20_000, substream(SEED, 17))
+        for batch in (pos, given):
+            assert np.linalg.norm(batch, axis=1).max() <= CT_DENSE * (1.0 + 1e-12)
+
+    def test_no_switch_rows_sit_on_sphere(self):
+        pos, ns = sample_positions(T_DENSE, P_DENSE, 50_000, substream(SEED, 18))
+        assert np.count_nonzero(ns == 0) > 1000
+        radii = np.linalg.norm(pos[ns == 0], axis=1)
+        assert np.allclose(radii, CT_DENSE, rtol=1e-12)
+
+    def test_histogram_worker_invariant(self):
+        cfg = McConfig(samples=200_000, seed=SEED)
+        a = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40, workers=1)
+        b = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40, workers=3)
+        assert np.array_equal(a.masses, b.masses)
+        assert a.atom_fraction == b.atom_fraction
+
+
+def test_empty_batches():
+    pos, ns = sample_positions(T, P, 0, substream(SEED, 0))
+    assert pos.shape == (0, 3) and ns.shape == (0,)
+    assert sample_positions_given_n(2, T, P, 0, substream(SEED, 0)).shape == (0, 3)
 
 
 _CFG = McConfig(samples=10_000, seed=SEED)
