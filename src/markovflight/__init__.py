@@ -45,13 +45,12 @@ from .montecarlo import (
     RadialHistogram,
     estimate_ball_prob,
     estimate_cf,
-    estimate_conditional_cf,
     radial_histogram,
     sample_positions,
     sample_positions_given_n,
     substream,
 )
-from .specfun import Order, bessel_j, hyp5f4_unit, neg_cin, si
+from .specfun import bessel_j, hyp5f4_unit, neg_cin, si
 from .validate import (
     DEFAULT_SEED,
     CheckReport,
@@ -102,12 +101,10 @@ __all__ = [
     "RadialHistogram",
     "estimate_ball_prob",
     "estimate_cf",
-    "estimate_conditional_cf",
     "radial_histogram",
     "sample_positions",
     "sample_positions_given_n",
     "substream",
-    "Order",
     "bessel_j",
     "hyp5f4_unit",
     "neg_cin",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonFinite, TruncationNotConverged
 from .model import FlightParams
-from .specfun import Order, bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
+from .specfun import bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
 from .arctan_series import quartic_gamma
 
 __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
@@ -111,7 +111,7 @@ def h2_series(q: FreqQuery, p: FlightParams) -> float:
     log_half_x = math.log(0.5 * x)
     return _bessel_series("H2 series", x, lambda k: (
         math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
-        * hyp5f4_unit(k) * bessel_j(Order.integer(k + 1), x)
+        * hyp5f4_unit(k) * bessel_j(k + 1, x)
     ))
 
 
@@ -131,32 +131,28 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
         * math.pi**1.5
         * quartic_gamma(k)
         * math.exp((k - 1.5) * log_x - (k + 1.5) * _LOG2 - log_gamma(k + 2.0))
-        * bessel_j(Order.half(k + 1), x)
+        * bessel_j(k + 1.5, x)
     ))
 
 
 def h_asymptotic(q: FreqQuery, p: FlightParams) -> float:
     """Small-time approximation of the unconditional characteristic function.
 
-    e^(-lam t) [ g0 + (lam t) g1 + (lam t)^2 J_1(x)/x
+    e^(-lam t) [ H_0 + (lam t) H_1 + (lam t)^2 J_1(x)/x
                  + (lam t)^3 sqrt(pi)/(2x)^(3/2) J_{3/2}(x) ]
 
-    where g0 = H_0 and g1 = H_1.  The last two pieces are the leading Bessel
-    terms of H_2 and H_3, so the whole expression deviates from the exact
-    four-term conditional expansion by o(t^3) at fixed ||alpha||.  At zero
+    The last two pieces are the leading Bessel terms of H_2 and H_3, so the
+    whole expression deviates from the exact four-term conditional expansion
+    by o(t^3) at fixed ||alpha||.  At zero
     frequency the value is exactly e^(-lam t)(1 + lt + lt^2/2 + lt^3/6).
     """
     x = _x(q, p)
     lt = p.lam * q.t
     if x < _SMALL_X:
         xx = x * x
-        g0 = 1.0 - xx / 6.0 + xx * xx / 120.0
-        g1 = 1.0 - xx / 9.0 + 23.0 * xx * xx / 5400.0
         g2 = 0.5 - xx / 16.0 + xx * xx / 384.0
         g3 = (1.0 - xx / 10.0 + xx * xx / 280.0) / 6.0
     else:
-        g0 = math.sin(x) / x
-        g1 = (math.sin(x) * si(2.0 * x) + math.cos(x) * neg_cin(2.0 * x)) / (x * x)
-        g2 = bessel_j(Order.integer(1), x) / x
-        g3 = _SQRT_PI / (2.0 * x) ** 1.5 * bessel_j(Order.half(1), x)
-    return math.exp(-lt) * (g0 + lt * g1 + lt * lt * g2 + lt**3 * g3)
+        g2 = bessel_j(1, x) / x
+        g3 = _SQRT_PI / (2.0 * x) ** 1.5 * bessel_j(1.5, x)
+    return math.exp(-lt) * (h0(q, p) + lt * h1(q, p) + lt * lt * g2 + lt**3 * g3)

@@ -37,8 +37,6 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _cmd_density_profile(args) -> int:
     p = FlightParams(c=args.c, lam=args.lam)
     t = args.t
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
     points = args.points
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
@@ -71,8 +69,6 @@ def _cmd_gcurves(args) -> int:
 
 def _cmd_simulate(args) -> int:
     p = FlightParams(c=args.c, lam=args.lam)
-    if args.t <= 0:
-        raise DomainError(f"t must be > 0, got {args.t}")
     cfg = McConfig(samples=args.samples, seed=args.seed)
     if args.raw:
         rows = ["x1,x2,x3,n_switches"]
@@ -82,8 +78,6 @@ def _cmd_simulate(args) -> int:
         ]):
             rows += chunk
     else:
-        if args.bins < 1:
-            raise DomainError(f"bins must be >= 1, got {args.bins}")
         hist = montecarlo.radial_histogram(args.t, p, cfg, bins=args.bins)
         rows = ["r_lo,r_hi,mass"]
         for k in range(args.bins):

@@ -80,7 +80,7 @@ class DensityValue:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo run shape: sample count, seed and chunk size.
+    """Monte Carlo run shape: sample count and seed.
 
     Estimates are a pure function of (config, params, query): chunk k is
     generated from a counter-based substream keyed by (seed, k), so runs
@@ -89,15 +89,12 @@ class McConfig:
 
     samples: int
     seed: int = 0
-    chunk: int = 1 << 16
 
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 1 << 64:
             raise DomainError("seed must be an unsigned 64-bit integer")
-        if self.chunk < 1:
-            raise DomainError(f"chunk must be >= 1, got {self.chunk}")
 
 
 @dataclass(frozen=True)

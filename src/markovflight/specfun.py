@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from scipy import special
 
 from .errors import DomainError, InvalidParameter
 
 __all__ = [
-    "Order",
     "log_gamma",
     "bessel_j",
     "si",
@@ -36,58 +34,31 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class Order:
-    """Bessel order represented exactly: n for integer, n + 1/2 for half."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in ("integer", "half"):
-            raise DomainError(f"unknown order kind {self.kind!r}")
-        if self.n < 0:
-            raise DomainError(f"order index must be >= 0, got {self.n}")
-
-    @classmethod
-    def integer(cls, n: int) -> "Order":
-        return cls("integer", n)
-
-    @classmethod
-    def half(cls, n: int) -> "Order":
-        """The half-integer order n + 1/2."""
-        return cls("half", n)
-
-    @property
-    def value(self) -> float:
-        return float(self.n) if self.kind == "integer" else self.n + 0.5
-
-
-def bessel_j(order: Order, x: float) -> float:
-    """Bessel function of the first kind J_order(x) for x >= 0.
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x) for nu >= 0 and x >= 0.
 
     J_{1/2} and J_{3/2} use their closed trigonometric forms; other orders
     delegate to scipy's jv, which is stable across the needed range.
     """
+    if nu < 0:
+        raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
     if x < 0:
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
-    nu = order.value
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if order.kind == "half":
+    if nu == 0.5:
+        return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
+    if nu == 1.5:
         pref = math.sqrt(2.0 / (math.pi * x))
-        if order.n == 0:
-            return pref * math.sin(x)
-        if order.n == 1:
-            if x < 0.1:
-                # sin(x)/x - cos(x) cancels catastrophically near 0; its own
-                # series sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)! is exact here
-                x2 = x * x
-                poly = x2 / 3.0 * (
-                    1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0))
-                )
-                return pref * poly
-            return pref * (math.sin(x) / x - math.cos(x))
+        if x < 0.1:
+            # sin(x)/x - cos(x) cancels catastrophically near 0; its own
+            # series sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)! is exact here
+            x2 = x * x
+            poly = x2 / 3.0 * (
+                1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0))
+            )
+            return pref * poly
+        return pref * (math.sin(x) / x - math.cos(x))
     return float(special.jv(nu, x))
 
 

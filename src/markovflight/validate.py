@@ -217,8 +217,8 @@ def _bessel_forms() -> tuple:
         x = float(x)
         worst = max(
             worst,
-            abs(specfun.bessel_j(specfun.Order.half(0), x) - special.jv(0.5, x)),
-            abs(specfun.bessel_j(specfun.Order.half(1), x) - special.jv(1.5, x)),
+            abs(specfun.bessel_j(0.5, x) - special.jv(0.5, x)),
+            abs(specfun.bessel_j(1.5, x) - special.jv(1.5, x)),
         )
     return worst, 0.0, 1e-12
 
@@ -301,13 +301,11 @@ def _decay(p: FlightParams, power: int) -> tuple:
         lt = p.lam * t
         if power == 2:
             exact = lt * lt / 2.0 * charfun.h2_series(q, p)
-            lead = lt * lt * specfun.bessel_j(specfun.Order.integer(1), x) / x
+            lead = lt * lt * specfun.bessel_j(1.0, x) / x
             ratios.append(abs(exact - lead) / t**3)
         else:
             exact = lt**3 / 6.0 * charfun.h3_series(q, p)
-            lead = lt**3 * math.sqrt(math.pi) / (2.0 * x) ** 1.5 * specfun.bessel_j(
-                specfun.Order.half(1), x
-            )
+            lead = lt**3 * math.sqrt(math.pi) / (2.0 * x) ** 1.5 * specfun.bessel_j(1.5, x)
             ratios.append(abs(exact - lead) / t**4)
     return (
         ratios[-1] / ratios[0], 0.0, 0.2,
@@ -370,10 +368,9 @@ def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
     ))))
 
 
-def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture=None) -> list:
-    """The unconditional rows at t, read from one pass over its stream; a
-    mixture finisher, given the pass's 20-bin radial histogram, adds the
-    mixture row last."""
+def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
+    """The unconditional rows at t, read from one pass over its stream, and
+    a getter for that pass's per-chunk 40-bin radial counts."""
     lt = p.lam * t
     ct = p.c * t
     n = cfg.samples
@@ -445,27 +442,27 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig, mixture=None) -> list:
         (f"mc_mean_position_t{t:g}",
          lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),
     ]
-    if mixture is not None:
-        edges20 = np.linspace(0.0, ct, _MIXTURE_BINS + 1)
-        table.append((
-            "mc_mixture_coherence",
-            lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20),
-            lambda parts: mixture(montecarlo._radial_histogram(edges20, parts, n)),
-        ))
     columns = _pass(t, p, cfg, [stat for _, stat, _ in table])
-    return [
+    rows = [
         (name, lambda k=k, finish=finish: finish(columns()[k]))
         for k, (name, _, finish) in enumerate(table)
     ]
+    return rows, lambda: columns()[1]
 
 
-def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, unc) -> tuple:
+def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, radial_parts) -> tuple:
     # mixing the conditional samplers over Poisson weights must reproduce
-    # the unconditional radial histogram unc bin by bin; n = 1..3 come from
-    # the conditional-CF passes, the rarer counts from streams sized by weight
-    bins = len(unc.masses)
+    # the unconditional radial histogram bin by bin; n = 1..3 come from the
+    # conditional-CF passes, the rarer counts from streams sized by weight
+    # and capped at cfg.samples.  The unconditional 40-bin counts fold
+    # pairwise onto the 20 bins: the edges of both grids nest exactly.
+    bins = _MIXTURE_BINS
+    edges = np.linspace(0.0, p.c * t0, bins + 1)
+    folded = [(counts.reshape(bins, 2).sum(axis=1), atom) for counts, atom in radial_parts]
+    unc = montecarlo._radial_histogram(edges, folded, cfg.samples).masses
     lt = p.lam * t0
-    pmf = stats.poisson.pmf(np.arange(32), lt)
+    # the pmf runs far enough past n_hi that its tail sum is P{N > n_hi}
+    pmf = stats.poisson.pmf(np.arange(32 + math.ceil(lt + 10.0 * math.sqrt(lt))), lt)
     n_hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-6)) + 1
     mix = np.zeros(bins)
     var_mix = np.zeros(bins)
@@ -473,17 +470,20 @@ def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, unc) -> tup
     for n in range(1, n_hi + 1):
         if n in cond_passes:
             size = cfg.samples
-            masses = montecarlo._radial_histogram(unc.edges, cond_passes[n]()[-1], size).masses
+            masses = montecarlo._radial_histogram(edges, cond_passes[n]()[-1], size).masses
         else:
-            size = max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3]))
-            cond_cfg = McConfig(samples=size, seed=cfg.seed + n, chunk=cfg.chunk)
+            size = min(
+                cfg.samples,
+                max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3])),
+            )
+            cond_cfg = McConfig(samples=size, seed=(cfg.seed + n) % 2**64)
             masses = montecarlo.radial_histogram(t0, p, cond_cfg, bins=bins, condition=n).masses
         mix += pmf[n] * masses
         var_mix += (pmf[n] ** 2) * masses * (1.0 - masses) / size
         sizes.append(f"{size:.3g}".replace("e+0", "e").replace("e+", "e"))
-    se_unc = np.sqrt(unc.masses * (1.0 - unc.masses) / cfg.samples)
+    se_unc = np.sqrt(unc * (1.0 - unc) / cfg.samples)
     tol_bins = 3.0 * np.sqrt(se_unc**2 + var_mix) + pmf[n_hi + 1 :].sum() + 1e-12
-    margin = float(np.max(np.abs(unc.masses - mix) - tol_bins))
+    margin = float(np.max(np.abs(unc - mix) - tol_bins))
     return _bound(margin, detail=f"worst bin margin {margin:.3g}; n=1..{n_hi}: {','.join(sizes)}")
 
 
@@ -500,7 +500,7 @@ def _directions(cfg: McConfig) -> list:
 
 
 def _determinism(p: FlightParams, t0: float, cfg: McConfig) -> list:
-    small = McConfig(samples=10**5, seed=cfg.seed, chunk=cfg.chunk)
+    small = McConfig(samples=10**5, seed=cfg.seed)
     a = montecarlo.estimate_cf(2.0, t0, p, small, workers=1)
     b = montecarlo.estimate_cf(2.0, t0, p, small, workers=1)
     c = montecarlo.estimate_cf(2.0, t0, p, small, workers=3)
@@ -520,7 +520,7 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
     stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20))
     passes = {
-        n: _pass(t0, p, McConfig(cfg.samples, cfg.seed + n, cfg.chunk), stats_n, condition=n)
+        n: _pass(t0, p, McConfig(cfg.samples, (cfg.seed + n) % 2**64), stats_n, condition=n)
         for n in (1, 2, 3)
     }
 
@@ -541,14 +541,12 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
         for j, x in enumerate(xs)
     ]
     rows.append(("mc_cf_imag_symmetry", imag_symmetry))
-    *rows_t0, mixture = _mc_rows_at(
-        p, t0, cfg, mixture=lambda unc: _mixture(p, t0, cfg, passes, unc)
-    )
+    rows_t0, radial_t0 = _mc_rows_at(p, t0, cfg)
     rows += rows_t0
     for t in t_list[1:]:
-        rows += _mc_rows_at(p, t, cfg)
+        rows += _mc_rows_at(p, t, cfg)[0]
     return rows + [
-        mixture,
+        ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg, passes, radial_t0())),
         (("mc_direction_component_means", "mc_direction_ks_uniform"), lambda: _directions(cfg)),
         (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
     ]

@@ -92,7 +92,7 @@ def test_criterion_3_cf_oracle_equivalence(acceptance_log):
         for x in X_GRID:
             alpha = x / (P.c * 0.1)
             q = mf.FreqQuery(alpha_norm=alpha, t=0.1)
-            est = mf.estimate_conditional_cf(n, alpha, 0.1, P, cfg)
+            est = mf.estimate_cf(alpha, 0.1, P, cfg, condition=n)
             diff = abs(est.real.mean - fn(q, P))
             if diff > 3.0 * est.real.std_error:
                 failures.append(
@@ -228,7 +228,7 @@ def test_criterion_8_simulation_soundness(acceptance_log):
     done = 0
     idx = 0
     while done < total:
-        size = min(cfg.chunk, total - done)
+        size = min(mf.montecarlo._CHUNK, total - done)
         pos, ns = mf.sample_positions(t, P, size, mf.substream(cfg.seed, idx))
         worst = max(worst, float(np.linalg.norm(pos, axis=1).max()))
         atom_count += int(np.count_nonzero(ns == 0))

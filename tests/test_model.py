@@ -77,10 +77,6 @@ class TestDensityValue:
 
 
 class TestMcConfig:
-    def test_defaults(self):
-        cfg = McConfig(samples=10, seed=1)
-        assert cfg.chunk == 1 << 16
-
     @pytest.mark.parametrize("samples", [0, -5])
     def test_samples_positive(self, samples):
         with pytest.raises(DomainError):
@@ -90,10 +86,6 @@ class TestMcConfig:
     def test_seed_range(self, seed):
         with pytest.raises(DomainError):
             McConfig(samples=10, seed=seed)
-
-    def test_chunk_positive(self):
-        with pytest.raises(DomainError):
-            McConfig(samples=10, seed=1, chunk=0)
 
 
 class TestMcEstimate:

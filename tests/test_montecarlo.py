@@ -21,7 +21,6 @@ from markovflight import (
     Vec3,
     estimate_ball_prob,
     estimate_cf,
-    estimate_conditional_cf,
     h1,
     h_asymptotic,
     radial_histogram,
@@ -90,6 +89,12 @@ class TestSubstream:
         a = substream(7, 3).uniform(size=5)
         b = substream(8, 3).uniform(size=5)
         assert not np.array_equal(a, b)
+
+    def test_top_seeds_are_distinct_keys(self):
+        # a key rounded through float64 would map all three seeds to key 0
+        draws = [substream(s, 0).uniform(size=5) for s in (0, 2**64 - 2, 2**64 - 1)]
+        assert not any(np.array_equal(a, b) for i, a in enumerate(draws) for b in draws[:i])
+        assert substream(2**64 - 1, 0).bit_generator.state["state"]["key"][0] == 2**64 - 1
 
 
 class TestSampling:
@@ -195,7 +200,7 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     lambda: sample_positions(-0.1, P, 10, substream(SEED, 0)),
     lambda: sample_positions_given_n(2, -0.1, P, 10, substream(SEED, 0)),
     lambda: estimate_cf(2.0, -0.1, P, _CFG),
-    lambda: estimate_conditional_cf(1, 2.0, -0.1, P, _CFG),
+    lambda: estimate_cf(2.0, -0.1, P, _CFG, condition=1),
     lambda: estimate_ball_prob(0.1, -0.1, P, _CFG),
     lambda: radial_histogram(-0.1, P, _CFG, bins=10),
     lambda: radial_histogram(-0.1, P, _CFG, bins=10, condition=0),
@@ -231,7 +236,7 @@ class TestEstimateCf:
         assert abs(est.imag.mean) <= 4.0 * est.imag.std_error
 
     def test_conditional_against_h1(self):
-        est = estimate_conditional_cf(1, 2.0, T, P, self.CFG)
+        est = estimate_cf(2.0, T, P, self.CFG, condition=1)
         target = h1(FreqQuery(alpha_norm=2.0, t=T), P)
         assert abs(est.real.mean - target) <= 4.0 * est.real.std_error
 
@@ -239,7 +244,7 @@ class TestEstimateCf:
         with pytest.raises(DomainError):
             estimate_cf(2.0, T, P, McConfig(samples=100, seed=SEED))
         with pytest.raises(DomainError):
-            estimate_conditional_cf(1, 2.0, T, P, McConfig(samples=100, seed=SEED))
+            estimate_cf(2.0, T, P, McConfig(samples=100, seed=SEED), condition=1)
 
     def test_partial_last_chunk(self):
         # sample count deliberately not a multiple of the chunk size

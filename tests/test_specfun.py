@@ -14,7 +14,7 @@ import mpmath
 import pytest
 from scipy import special
 
-from markovflight import Order, bessel_j, hyp5f4_unit, neg_cin, si
+from markovflight import bessel_j, hyp5f4_unit, neg_cin, si
 from markovflight.errors import DomainError, InvalidParameter
 from markovflight.specfun import hyp3f2_unit_terminating, log_gamma
 
@@ -89,47 +89,41 @@ class TestLogGammaPochhammer:
             log_gamma(-1.5)
 
 
-class TestOrder:
-    def test_values(self):
-        assert Order.integer(3).value == 3.0
-        assert Order.half(1).value == 1.5
-
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            Order("quarter", 1)
-        with pytest.raises(DomainError):
-            Order.integer(-1)
-
-
 class TestBesselJ:
     def test_at_zero(self):
-        assert bessel_j(Order.integer(0), 0.0) == 1.0
-        assert bessel_j(Order.integer(1), 0.0) == 0.0
-        assert bessel_j(Order.half(0), 0.0) == 0.0
+        assert bessel_j(0.0, 0.0) == 1.0
+        assert bessel_j(1.0, 0.0) == 0.0
+        assert bessel_j(0.5, 0.0) == 0.0
 
     def test_negative_argument(self):
         with pytest.raises(DomainError):
-            bessel_j(Order.integer(1), -0.1)
+            bessel_j(1.0, -0.1)
+
+    def test_negative_order(self):
+        with pytest.raises(DomainError):
+            bessel_j(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            bessel_j(-0.5, 0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_integer_orders_vs_series(self, n):
         for x in (0.1, 0.7, 1.0, 3.0, 5.0):
             ref = bessel_series(float(n), x)
-            assert bessel_j(Order.integer(n), x) == pytest.approx(ref, abs=1e-12)
+            assert bessel_j(float(n), x) == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_half_orders_vs_series(self, n):
         for x in (0.1, 0.7, 1.0, 3.0, 5.0):
             ref = bessel_series(n + 0.5, x)
-            assert bessel_j(Order.half(n), x) == pytest.approx(ref, abs=1e-12)
+            assert bessel_j(n + 0.5, x) == pytest.approx(ref, abs=1e-12)
 
     def test_trig_forms_vs_scipy(self):
         # the closed trig forms for orders 1/2 and 3/2 vs scipy's generic jv
         for x in (0.05, 0.5, 2.0, 10.0, 40.0):
-            assert bessel_j(Order.half(0), x) == pytest.approx(
+            assert bessel_j(0.5, x) == pytest.approx(
                 float(special.jv(0.5, x)), abs=1e-13
             )
-            assert bessel_j(Order.half(1), x) == pytest.approx(
+            assert bessel_j(1.5, x) == pytest.approx(
                 float(special.jv(1.5, x)), abs=1e-13
             )
 

@@ -11,7 +11,6 @@ from markovflight import (
     ball_prob_asymptotic,
     estimate_ball_prob,
     estimate_cf,
-    estimate_conditional_cf,
     g_tilde,
     integrate_ac_density,
     integrate_ac_density_ball,
@@ -175,6 +174,22 @@ class TestRunSuite:
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
 
+    def test_mixture_streams_capped_at_large_lambda_t(self):
+        # uncapped, the weight-sized n >= 4 streams would ask for 3.6e9 draws
+        # here, and n_hi = 46 needs a Poisson pmf table longer than 32
+        cfg = McConfig(samples=10**4, seed=DEFAULT_SEED)
+        reports = run_suite(FlightParams(c=5.0, lam=20.0), (1.0,), cfg)
+        mixture = next(r for r in reports if r.name == "mc_mixture_coherence")
+        assert mixture.detail.startswith("worst bin margin"), mixture.detail
+        sizes = [float(s) for s in mixture.detail.split(": ")[1].split(",")]
+        assert len(sizes) > 20 and max(sizes) <= cfg.samples
+
+    def test_largest_seed_runs_every_row(self):
+        # the conditional streams are keyed seed + n, which wraps modulo 2^64
+        reports = run_suite(cfg=McConfig(samples=10**4, seed=2**64 - 1))
+        assert [r.name for r in reports] == FULL_NAMES
+        assert all(math.isfinite(r.lhs) for r in reports)
+
     def test_raising_rows_fail_every_name(self, monkeypatch):
         # each row that raises, or reads a pass that raises, reports all of
         # its names as failed, so the suite's total never shrinks
@@ -271,5 +286,5 @@ class TestSinglePass:
         )
         cond_cfg = McConfig(samples=MC_CFG.samples, seed=MC_CFG.seed + 2)
         assert reports["mc_conditional_cf_n2_x1"].lhs == (
-            estimate_conditional_cf(2, 1.0 / (P.c * t), t, P, cond_cfg).real.mean
+            estimate_cf(1.0 / (P.c * t), t, P, cond_cfg, condition=2).real.mean
         )
