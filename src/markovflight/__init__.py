@@ -8,113 +8,18 @@ the small-time transition density, subball probabilities and the interior
 mass functions -- and ships a Monte Carlo engine plus a quadrature-backed
 cross-check suite that ties every formula to an independent oracle.
 """
-from .arctan_series import arctan_pow, gamma_sum_identity, quartic_gamma
-from .charfun import FreqQuery, h0, h1, h2_series, h3_series, h_asymptotic
-from .density import (
-    RadialProfile,
-    ac_density,
-    ball_prob_asymptotic,
-    density_at,
-    g_exact,
-    g_tilde,
-    radial_profile,
-    singular_weight,
-    switch_tail_error,
-)
-from .errors import (
-    DomainError,
-    InvalidParameter,
-    MarkovFlightError,
-    NonFinite,
-    NonPositiveIntensity,
-    NonPositiveSpeed,
-    QuadratureNotConverged,
-    RadiusOutsideBall,
-    TruncationNotConverged,
-    UnsupportedPower,
-)
-from .model import (
-    DensityValue,
-    FlightParams,
-    McConfig,
-    McEstimate,
-    Vec3,
-)
-from .montecarlo import (
-    CfEstimate,
-    RadialHistogram,
-    estimate_ball_prob,
-    estimate_cf,
-    radial_histogram,
-    sample_positions,
-    sample_positions_given_n,
-    substream,
-)
-from .specfun import bessel_j, hyp5f4_unit, neg_cin, si
-from .validate import (
-    DEFAULT_SEED,
-    CheckReport,
-    integrate_ac_density,
-    integrate_ac_density_ball,
-    report_lines,
-    reports_to_csv,
-    run_suite,
-)
+from . import arctan_series, charfun, density, errors, model, montecarlo, specfun, validate
+from .arctan_series import *  # noqa: F401,F403
+from .charfun import *  # noqa: F401,F403
+from .density import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .validate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "arctan_pow",
-    "gamma_sum_identity",
-    "quartic_gamma",
-    "FreqQuery",
-    "h0",
-    "h1",
-    "h2_series",
-    "h3_series",
-    "h_asymptotic",
-    "RadialProfile",
-    "ac_density",
-    "ball_prob_asymptotic",
-    "density_at",
-    "g_exact",
-    "g_tilde",
-    "radial_profile",
-    "singular_weight",
-    "switch_tail_error",
-    "DomainError",
-    "InvalidParameter",
-    "MarkovFlightError",
-    "NonFinite",
-    "NonPositiveIntensity",
-    "NonPositiveSpeed",
-    "QuadratureNotConverged",
-    "RadiusOutsideBall",
-    "TruncationNotConverged",
-    "UnsupportedPower",
-    "DensityValue",
-    "FlightParams",
-    "McConfig",
-    "McEstimate",
-    "Vec3",
-    "CfEstimate",
-    "RadialHistogram",
-    "estimate_ball_prob",
-    "estimate_cf",
-    "radial_histogram",
-    "sample_positions",
-    "sample_positions_given_n",
-    "substream",
-    "bessel_j",
-    "hyp5f4_unit",
-    "neg_cin",
-    "si",
-    "DEFAULT_SEED",
-    "CheckReport",
-    "integrate_ac_density",
-    "integrate_ac_density_ball",
-    "report_lines",
-    "reports_to_csv",
-    "run_suite",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names
+_modules = (arctan_series, charfun, density, errors, model, montecarlo, specfun, validate)
+__all__ = [name for module in _modules for name in module.__all__] + ["__version__"]

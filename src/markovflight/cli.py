@@ -91,14 +91,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     p = FlightParams(c=args.c, lam=args.lam)
-    t_list = args.t if args.t else [0.1]
-    for t in t_list:
-        if t <= 0:
-            raise DomainError(f"t must be > 0, got {t}")
-    if not args.quick and args.samples < montecarlo._MIN_CF_SAMPLES:
-        raise DomainError(f"--samples must be >= {montecarlo._MIN_CF_SAMPLES} without --quick")
     cfg = McConfig(samples=args.samples, seed=args.seed)
-    reports = validate.run_suite(p, t_list, cfg, quick=args.quick)
+    reports = validate.run_suite(p, args.t, cfg, quick=args.quick)
     for line in validate.report_lines(reports):
         print(line)
     n_fail = sum(1 for r in reports if not r.passed)
@@ -116,11 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, **lam):
         sp.add_argument("--c", type=float, default=5.0, help="speed (default 5)")
         sp.add_argument(
-            "--lambda", dest="lam", type=float, default=2.0,
-            help="switching intensity (default 2)",
+            "--lambda", dest="lam", type=float,
+            **(lam or {"default": 2.0, "help": "switching intensity (default 2)"}),
         )
         sp.add_argument("--output", default=None, help="output path (default stdout)")
         sp.add_argument("--verbose", action="store_true")
@@ -133,13 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.set_defaults(fn=_cmd_density_profile)
 
     gc = sub.add_parser("gcurves", help="interior mass curves CSV per intensity")
-    gc.add_argument("--c", type=float, default=5.0, help="speed (default 5)")
-    gc.add_argument(
-        "--lambda", dest="lam", type=float, action="append", default=None,
-        help="intensity; repeatable (default 1 1.5 2 2.5)",
-    )
-    gc.add_argument("--output", default=None)
-    gc.add_argument("--verbose", action="store_true")
+    common(gc, action="append", default=None, help="intensity; repeatable (default 1 1.5 2 2.5)")
     gc.add_argument("--tmin", type=float, default=0.0, help="open left endpoint")
     gc.add_argument("--tmax", type=float, default=1.0)
     gc.add_argument("--points", type=int, default=200)

@@ -70,7 +70,8 @@ def ac_density(r: float, t: float, p: FlightParams) -> float:
     if r < 1e-9 * ct:
         log_part = p.lam / (2.0 * math.pi * p.c**3 * t * t)
     else:
-        log_part = p.lam / (4.0 * math.pi * p.c**2 * t * r) * math.log((ct + r) / (ct - r))
+        # log((ct+r)/(ct-r)) as log1p: the quotient rounds away digits near r = 0
+        log_part = p.lam / (4.0 * math.pi * p.c**2 * t * r) * math.log1p(2.0 * r / (ct - r))
     sqrt_part = p.lam**2 / (2.0 * math.pi**2 * p.c**2 * math.sqrt(ct * ct - r * r))
     const_part = p.lam**3 / (8.0 * math.pi * p.c**3)
     return math.exp(-p.lam * t) * (log_part + sqrt_part + const_part)

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MarkovFlightError", "DomainError", "NonPositiveSpeed", "NonPositiveIntensity", "NonFinite",
+    "UnsupportedPower", "InvalidParameter", "TruncationNotConverged", "QuadratureNotConverged",
+    "RadiusOutsideBall",
+]
+
 
 class MarkovFlightError(Exception):
     """Base class for all package-specific errors."""

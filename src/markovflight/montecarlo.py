@@ -32,6 +32,7 @@ __all__ = [
     "estimate_cf",
     "estimate_ball_prob",
     "radial_histogram",
+    "substream",
 ]
 
 # Fewest samples the characteristic-function estimator accepts.

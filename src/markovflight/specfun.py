@@ -2,7 +2,8 @@
 
 Log-gamma, Bessel J of integer and half-integer order, the sine integral Si,
 the nonstandard cosine integral used by the characteristic functions, and two
-terminating hypergeometric sums at unit argument.
+terminating hypergeometric sums at unit argument (log-gamma and the 3F2 sum
+are internal helpers, not exported).
 """
 from __future__ import annotations
 
@@ -13,14 +14,7 @@ from scipy import special
 
 from .errors import DomainError, InvalidParameter
 
-__all__ = [
-    "log_gamma",
-    "bessel_j",
-    "si",
-    "neg_cin",
-    "hyp5f4_unit",
-    "hyp3f2_unit_terminating",
-]
+__all__ = ["bessel_j", "si", "neg_cin", "hyp5f4_unit"]
 
 # neg_cin switches from its entire Taylor series to scipy's Ci here; the
 # series loses digits to cancellation once x is well past 10.
@@ -86,7 +80,8 @@ def neg_cin(x: float) -> float:
     total = 0.0
     term = -x * x / 4.0
     k = 1
-    while abs(term) > 1e-18 and k < 60:
+    # stop once a term no longer moves the sum; an absolute floor zeroes tiny x
+    while total + term != total and k < 60:
         total += term
         k += 1
         term *= -x * x * (2 * k - 2) / ((2 * k) * (2 * k) * (2 * k - 1))

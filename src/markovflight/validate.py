@@ -36,7 +36,12 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
-_MIXTURE_BINS = 20
+# radial bins on [0, ct] of the atom and mixture rows
+_BINS = 20
+
+
+def _passes(lhs: float, rhs: float, tolerance: float) -> bool:
+    return math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) <= tolerance
 
 
 @dataclass(frozen=True)
@@ -49,22 +54,13 @@ class CheckReport:
     detail: str = ""
 
     def __post_init__(self):
-        want = (
-            math.isfinite(self.lhs)
-            and math.isfinite(self.rhs)
-            and abs(self.lhs - self.rhs) <= self.tolerance
-        )
-        if self.passed != want:
-            raise DomainError(
-                f"CheckReport {self.name}: passed flag inconsistent with values"
-            )
+        if self.passed != _passes(self.lhs, self.rhs, self.tolerance):
+            raise DomainError(f"CheckReport {self.name}: passed flag inconsistent with values")
 
 
 def _report(name: str, lhs: float, rhs: float, tolerance: float, detail: str = "") -> CheckReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    passed = math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) <= tolerance
-    return CheckReport(name, lhs, rhs, float(tolerance), passed, detail)
+    lhs, rhs, tolerance = float(lhs), float(rhs), float(tolerance)
+    return CheckReport(name, lhs, rhs, tolerance, _passes(lhs, rhs, tolerance), detail)
 
 
 def _bound(shortfall: float, detail: str = "") -> tuple:
@@ -109,33 +105,29 @@ def _quad(f, a: float, b: float, tol: float) -> float:
     return val
 
 
-def _log_term_integrand(p: FlightParams, t: float):
+def _pieces(p: FlightParams, t: float, r: float, tol: float) -> dict:
+    """Thunks for the bare integrals over [0, r] of the three bracket terms."""
     ct = p.c * t
-
-    def f(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return p.lam * r * math.log((ct + r) / (ct - r)) / (p.c * p.c * t)
-
-    return f
-
-
-def _sqrt_term_integrand(p: FlightParams, t: float):
-    # after r = ct sin(theta) the inverse-square-root factor cancels exactly
     lt = p.lam * t
 
-    def f(theta: float) -> float:
+    def log_term(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        return p.lam * s * math.log((ct + s) / (ct - s)) / (p.c * p.c * t)
+
+    def sqrt_term(theta: float) -> float:
+        # after s = ct sin(theta) the inverse-square-root factor cancels exactly
         s = math.sin(theta)
         return 2.0 * lt * lt / math.pi * s * s
 
-    return f
+    def const_term(s: float) -> float:
+        return p.lam**3 * s * s / (2.0 * p.c**3)
 
-
-def _const_term_integrand(p: FlightParams):
-    def f(r: float) -> float:
-        return p.lam**3 * r * r / (2.0 * p.c**3)
-
-    return f
+    return {
+        "log": lambda: _quad(log_term, 0.0, r, tol),
+        "sqrt": lambda: _quad(sqrt_term, 0.0, math.asin(r / ct), tol),
+        "const": lambda: _quad(const_term, 0.0, r, tol),
+    }
 
 
 def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None) -> float:
@@ -149,18 +141,12 @@ def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None
     """
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    ct = p.c * t
-    pieces = {
-        "log": lambda: _quad(_log_term_integrand(p, t), 0.0, ct, tol),
-        "sqrt": lambda: _quad(_sqrt_term_integrand(p, t), 0.0, math.pi / 2.0, tol),
-        "const": lambda: _quad(_const_term_integrand(p), 0.0, ct, tol),
-    }
+    pieces = _pieces(p, t, p.c * t, tol)  # asin(1.0) is pi/2 exactly
     if term is not None:
         if term not in pieces:
             raise DomainError(f"term must be one of {sorted(pieces)}, got {term!r}")
         return pieces[term]()
-    total = sum(fn() for fn in pieces.values())
-    return math.exp(-p.lam * t) * total
+    return math.exp(-p.lam * t) * sum(fn() for fn in pieces.values())
 
 
 def integrate_ac_density_ball(r: float, t: float, p: FlightParams, tol: float = 1e-8) -> float:
@@ -172,10 +158,7 @@ def integrate_ac_density_ball(r: float, t: float, p: FlightParams, tol: float = 
         raise DomainError(f"r must be > 0, got {r}")
     if r >= ct:
         raise RadiusOutsideBall(f"r={r} must be < ct={ct}")
-    part_log = _quad(_log_term_integrand(p, t), 0.0, r, tol)
-    part_sqrt = _quad(_sqrt_term_integrand(p, t), 0.0, math.asin(r / ct), tol)
-    part_const = _quad(_const_term_integrand(p), 0.0, r, tol)
-    return math.exp(-p.lam * t) * (part_log + part_sqrt + part_const)
+    return math.exp(-p.lam * t) * sum(fn() for fn in _pieces(p, t, r, tol).values())
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +219,8 @@ def _si_cin_reference() -> list:
 
 def _static_rows_at(p: FlightParams, t: float) -> list:
     lt = p.lam * t
+    # the const integral is (lam t)^3/6: its quadrature tol is relative past 1
+    const_scale = max(1.0, lt**3 / 6.0)
 
     def ball_limit():
         val = density.ball_prob_asymptotic(np.nextafter(p.c * t, 0.0), t, p)
@@ -251,7 +236,8 @@ def _static_rows_at(p: FlightParams, t: float) -> list:
         (f"est_sqrt_term_t{t:g}",
          lambda: (integrate_ac_density(t, p, 1e-9, term="sqrt"), lt * lt / 2.0, 1e-8)),
         (f"est_const_term_t{t:g}",
-         lambda: (integrate_ac_density(t, p, 1e-11, term="const"), lt**3 / 6.0, 1e-10)),
+         lambda: (integrate_ac_density(t, p, 1e-11 * const_scale, term="const"),
+                  lt**3 / 6.0, 1e-10)),
         (f"est_full_vs_gtilde_t{t:g}",
          lambda: (integrate_ac_density(t, p), density.g_tilde(t, p), 1e-6)),
     ]
@@ -370,13 +356,13 @@ def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
 
 def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
     """The unconditional rows at t, read from one pass over its stream, and
-    a getter for that pass's per-chunk 40-bin radial counts."""
+    a getter for that pass's per-chunk radial counts."""
     lt = p.lam * t
     ct = p.c * t
     n = cfg.samples
     alpha = 2.0
     r = 0.5 * p.c * t
-    edges = np.linspace(0.0, ct, 41)
+    edges = np.linspace(0.0, ct, _BINS + 1)
 
     def uncond(parts):
         est = montecarlo._cf_estimate(parts, n)
@@ -450,22 +436,18 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
     return rows, lambda: columns()[1]
 
 
-def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, radial_parts) -> tuple:
+def _mixture(p: FlightParams, t0: float, cfg: McConfig, edges, cond_passes, radial_parts) -> tuple:
     # mixing the conditional samplers over Poisson weights must reproduce
     # the unconditional radial histogram bin by bin; n = 1..3 come from the
     # conditional-CF passes, the rarer counts from streams sized by weight
-    # and capped at cfg.samples.  The unconditional 40-bin counts fold
-    # pairwise onto the 20 bins: the edges of both grids nest exactly.
-    bins = _MIXTURE_BINS
-    edges = np.linspace(0.0, p.c * t0, bins + 1)
-    folded = [(counts.reshape(bins, 2).sum(axis=1), atom) for counts, atom in radial_parts]
-    unc = montecarlo._radial_histogram(edges, folded, cfg.samples).masses
+    # and capped at cfg.samples
+    unc = montecarlo._radial_histogram(edges, radial_parts, cfg.samples).masses
     lt = p.lam * t0
     # the pmf runs far enough past n_hi that its tail sum is P{N > n_hi}
     pmf = stats.poisson.pmf(np.arange(32 + math.ceil(lt + 10.0 * math.sqrt(lt))), lt)
     n_hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-6)) + 1
-    mix = np.zeros(bins)
-    var_mix = np.zeros(bins)
+    mix = np.zeros(_BINS)
+    var_mix = np.zeros(_BINS)
     sizes = []
     for n in range(1, n_hi + 1):
         if n in cond_passes:
@@ -477,7 +459,7 @@ def _mixture(p: FlightParams, t0: float, cfg: McConfig, cond_passes, radial_part
                 max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3])),
             )
             cond_cfg = McConfig(samples=size, seed=(cfg.seed + n) % 2**64)
-            masses = montecarlo.radial_histogram(t0, p, cond_cfg, bins=bins, condition=n).masses
+            masses = montecarlo.radial_histogram(t0, p, cond_cfg, bins=_BINS, condition=n).masses
         mix += pmf[n] * masses
         var_mix += (pmf[n] ** 2) * masses * (1.0 - masses) / size
         sizes.append(f"{size:.3g}".replace("e+0", "e").replace("e+", "e"))
@@ -514,11 +496,11 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     xs = (0.3, 0.5, 1.0, 2.0, 3.0)
     alphas = [x / (p.c * t0) for x in xs]
-    edges20 = np.linspace(0.0, p.c * t0, _MIXTURE_BINS + 1)
+    edges = np.linspace(0.0, p.c * t0, _BINS + 1)
     # one pass per switch count n, keyed seed + n, gives the CF sums at every
     # frequency and, last, the radial histogram the mixture row reads
     stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
-    stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges20))
+    stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges))
     passes = {
         n: _pass(t0, p, McConfig(cfg.samples, (cfg.seed + n) % 2**64), stats_n, condition=n)
         for n in (1, 2, 3)
@@ -546,7 +528,7 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     for t in t_list[1:]:
         rows += _mc_rows_at(p, t, cfg)[0]
     return rows + [
-        ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg, passes, radial_t0())),
+        ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg, edges, passes, radial_t0())),
         (("mc_direction_component_means", "mc_direction_ks_uniform"), lambda: _directions(cfg)),
         (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
     ]
@@ -577,6 +559,8 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
     quick=True restricts the run to the deterministic (non Monte Carlo)
     subset.  The full default suite uses 1e6 samples per estimate and a fixed
     seed, so it is deterministic as well; it needs at least 1e4 samples.
+    Inputs are checked before any row runs: an empty t_list, a t that is not
+    finite and > 0, or too few samples raise DomainError.
     """
     if p is None:
         p = FlightParams(c=5.0, lam=2.0)
@@ -584,6 +568,8 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
         t_list = (0.1,)
     if cfg is None:
         cfg = McConfig(samples=10**6, seed=DEFAULT_SEED)
+    if not t_list or not all(0.0 < t < math.inf for t in t_list):
+        raise DomainError(f"t_list needs at least one t, each finite and > 0; got {t_list}")
     if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
         raise DomainError(
             f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"

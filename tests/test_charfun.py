@@ -8,6 +8,7 @@ acceptance tests) plus structural properties: value 1 at zero frequency,
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from markovflight import (
@@ -71,6 +72,16 @@ class TestH1:
 
     def test_zero_frequency(self):
         assert h1(FreqQuery(alpha_norm=0.0, t=0.1), P) == 1.0
+
+    def test_absolute_error_from_tiny_x(self):
+        # just past the Taylor guard negCin(2x) is ~x^2, so a cosine-integral
+        # series cut at an absolute 1e-18 left errors up to 2e-13 here
+        with mpmath.workdps(90):
+            for x in np.geomspace(1e-14, 12.0, 150):
+                u = mpmath.mpf(float(x))
+                cin = mpmath.ci(2 * u) - mpmath.log(2 * u) - mpmath.euler
+                ref = (mpmath.sin(u) * mpmath.si(2 * u) + mpmath.cos(u) * cin) / (u * u)
+                assert abs(h1(query_for_x(float(x)), P) - ref) <= 2e-15, x
 
     def test_guard_continuity(self):
         lo = h1(query_for_x(1e-3 * (1 - 1e-9)), P)

@@ -170,11 +170,19 @@ class TestValidateCommand:
         def no_suite(*args, **kwargs):
             raise AssertionError("the suite must not run")
 
-        monkeypatch.setattr(markovflight.validate, "run_suite", no_suite)
+        monkeypatch.setattr(markovflight.validate, "_run", no_suite)
         code, out, err = run_cli(["validate", "--samples", "5000"], capsys)
         assert code == 2
         assert out == ""
         assert "usage error" in err and "10000" in err
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+    def test_bad_time_is_usage_error(self, capsys, monkeypatch, t):
+        monkeypatch.setattr(markovflight.validate, "_run", None)  # no row may run
+        code, out, err = run_cli(["validate", "--t", t], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
     def test_corrupted_samples_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ survival function.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -60,6 +61,21 @@ class TestAcDensity:
         just_inside = ac_density(1e-10 * CT, T, P)
         at_zero = ac_density(0.0, T, P)
         assert abs(just_inside - at_zero) < 1e-12
+
+    def test_relative_error_across_radii(self):
+        # log((ct+r)/(ct-r)) lost up to 8e-8 relative just above the
+        # r = 1e-9 ct switch; log1p(2r/(ct-r)) keeps every digit
+        lam, c, t = (mpmath.mpf(v) for v in (P.lam, P.c, T))
+        with mpmath.workdps(50):
+            for rho in np.geomspace(1.01e-9, 0.9, 120):
+                r = float(rho) * CT
+                s, ct = mpmath.mpf(r), mpmath.mpf(CT)
+                ref = mpmath.exp(-lam * t) * (
+                    lam / (4 * mpmath.pi * c**2 * t * s) * mpmath.log((ct + s) / (ct - s))
+                    + lam**2 / (2 * mpmath.pi**2 * c**2 * mpmath.sqrt(ct * ct - s * s))
+                    + lam**3 / (8 * mpmath.pi * c**3)
+                )
+                assert abs(ac_density(r, T, P) - ref) <= 1e-14 * ref, rho
 
     def test_zero_at_and_beyond_boundary(self):
         assert ac_density(CT, T, P) == 0.0

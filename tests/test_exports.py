@@ -1,0 +1,48 @@
+"""The package's public names: one list per module, gathered by the package."""
+import importlib
+
+import pytest
+
+import markovflight
+
+# frozen so that no public name is added, dropped or renamed without this
+# list changing with it
+PUBLIC_NAMES = [
+    "CfEstimate", "CheckReport", "DEFAULT_SEED", "DensityValue",
+    "DomainError", "FlightParams", "FreqQuery", "InvalidParameter",
+    "MarkovFlightError", "McConfig", "McEstimate", "NonFinite",
+    "NonPositiveIntensity", "NonPositiveSpeed", "QuadratureNotConverged", "RadialHistogram",
+    "RadialProfile", "RadiusOutsideBall", "TruncationNotConverged", "UnsupportedPower",
+    "Vec3", "__version__", "ac_density", "arctan_pow",
+    "ball_prob_asymptotic", "bessel_j", "density_at", "estimate_ball_prob",
+    "estimate_cf", "g_exact", "g_tilde", "gamma_sum_identity",
+    "h0", "h1", "h2_series", "h3_series",
+    "h_asymptotic", "hyp5f4_unit", "integrate_ac_density", "integrate_ac_density_ball",
+    "neg_cin", "quartic_gamma", "radial_histogram", "radial_profile",
+    "report_lines", "reports_to_csv", "run_suite", "sample_positions",
+    "sample_positions_given_n", "si", "singular_weight", "substream",
+    "switch_tail_error",
+]
+
+MODULES = ["arctan_series", "charfun", "density", "errors", "model", "montecarlo", "specfun",
+           "validate"]
+
+
+def test_public_names_frozen():
+    assert sorted(markovflight.__all__) == PUBLIC_NAMES
+    assert len(set(markovflight.__all__)) == len(markovflight.__all__)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_package_names_are_the_module_names(module):
+    mod = importlib.import_module(f"markovflight.{module}")
+    for name in mod.__all__:
+        assert getattr(markovflight, name) is getattr(mod, name)
+
+
+def test_internal_helpers_stay_importable_but_private():
+    from markovflight.specfun import hyp3f2_unit_terminating, log_gamma
+
+    assert callable(log_gamma) and callable(hyp3f2_unit_terminating)
+    assert "log_gamma" not in markovflight.__all__
+    assert "hyp3f2_unit_terminating" not in markovflight.__all__

@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import special
 
@@ -171,6 +172,16 @@ class TestNegCin:
             got = neg_cin(x)
         ref = mp_reference(lambda u: mpmath.ci(u) - mpmath.log(u) - mpmath.euler, x)
         assert got == pytest.approx(ref, abs=1e-12)
+
+    def test_relative_error_down_to_tiny_x(self):
+        # the series stops once a term no longer moves the sum; a fixed
+        # absolute floor returned 0 below x ~ 2e-9.  At 40 digits the oracle
+        # Ci - ln x - gamma itself cancels below 1e-12, so it runs at 90
+        with mpmath.workdps(90):
+            for x in np.geomspace(1e-14, 10.0, 120):
+                u = mpmath.mpf(float(x))
+                ref = mpmath.ci(u) - mpmath.log(u) - mpmath.euler
+                assert abs(neg_cin(float(x)) - ref) <= 1e-14 * abs(ref), x
 
     def test_not_the_classical_ci(self):
         # the classical Ci is negative at small x with a log singularity;

@@ -226,6 +226,20 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(cfg=McConfig(samples=montecarlo._MIN_CF_SAMPLES - 1, seed=1))
 
+    @pytest.mark.parametrize("t_list", [(), (0.0,), (-0.1,), (math.nan,), (math.inf,)])
+    def test_bad_times_raise_before_any_row(self, monkeypatch, t_list):
+        monkeypatch.setattr(validate, "_run", None)
+        with pytest.raises(DomainError):
+            run_suite(t_list=t_list)
+
+    def test_quadrature_rows_at_large_lambda_t(self):
+        # at lam t = 20 the const integral is 1333; an absolute quadrature
+        # tol of 1e-11 there raised on an estimate of 1.5e-11
+        reports = run_suite(FlightParams(c=5.0, lam=20.0), (1.0,), quick=True)
+        est = [r for r in reports if r.name.startswith("est_")]
+        assert len(est) == 4
+        assert [r.name for r in est if not r.passed] == []
+
     def test_report_lines_format(self):
         reports = run_suite(quick=True)
         lines = report_lines(reports)
