@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional
 
 from . import density, montecarlo, validate
@@ -159,6 +160,9 @@ def main(argv=None) -> int:
     if args.verbose:
         shown = {k: v for k, v in vars(args).items() if k != "fn"}
         print(f"runspec: {shown}", file=sys.stderr)
+        if args.command in ("simulate", "validate"):
+            print(f"workers: {montecarlo._workers()}", file=sys.stderr)
+    start = time.perf_counter()
     try:
         return args.fn(args)
     except DomainError as exc:
@@ -167,6 +171,9 @@ def main(argv=None) -> int:
     except MarkovFlightError as exc:
         print(f"markovflight: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.verbose:
+            print(f"wall_s: {time.perf_counter() - start:.3f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,16 +6,19 @@ direction drawn uniformly on the unit sphere.  Conditioned on N(t) = n the
 switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  The
 batch samplers draw exactly that many segments per path, laid end to end in
-one flat array, and add each path's segments with np.add.reduceat.
+one flat array, and add each path's segments with np.add.reduceat, one block
+of whole paths at a time.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
-counter-based Philox stream keyed by (seed, k).  Chunk results are reduced in
+counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
+process may use unless `workers` says otherwise; their results are reduced in
 index order, so estimates are bit-identical for any worker count.  The suite
 in `validate` reduces its passes with the same private per-chunk statistics.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
@@ -39,6 +42,9 @@ __all__ = [
 _MIN_CF_SAMPLES = 10_000
 # Samples per chunk: chunk k of a stream is drawn from substream(seed, k).
 _CHUNK = 1 << 16
+# Paths per block of the endpoint kernel: its trig and reduction temporaries
+# are a block's size, so a chunk's working memory stays flat.
+_BLOCK = 1 << 12
 
 
 class CfEstimate(NamedTuple):
@@ -62,12 +68,13 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def _unit_vectors(rng: np.random.Generator, k: int) -> np.ndarray:
-    # uniform on S^2: cos(colatitude) uniform on [-1,1], longitude uniform
-    z = rng.uniform(-1.0, 1.0, k)
-    phi = rng.uniform(0.0, 2.0 * math.pi, k)
+def _unit_vectors(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Points on S^2 at cos(colatitude) z and longitude phi; shape (len(z), 3).
+
+    With z uniform on [-1, 1] and phi uniform on [0, 2 pi) they are uniform.
+    """
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.empty((k, 3))
+    out = np.empty((len(z), 3))
     np.multiply(s, np.cos(phi), out=out[:, 0])
     np.multiply(s, np.sin(phi), out=out[:, 1])
     out[:, 2] = z
@@ -81,19 +88,30 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     segment lengths are its standard exponentials scaled to sum to t: the
     gaps between n sorted uniform epochs on (0, t) have exactly that law.
     Nothing is sorted, so no rounding can reorder epochs into a negative
-    segment, and each row's length sums to ct up to rounding.
+    segment, and each row's length sums to ct up to rounding.  Every draw is
+    made first; the rest runs over blocks of _BLOCK whole paths, and each
+    row is reduced over the same segments as in one whole-array pass.
     """
     size = len(counts)
     if size == 0:
         return np.zeros((0, 3))
     segments = counts + 1
-    starts = np.zeros(size, dtype=np.intp)
-    np.cumsum(segments[:-1], out=starts[1:])
-    gaps = rng.standard_exponential(int(segments.sum()))
-    steps = _unit_vectors(rng, len(gaps))
-    steps *= gaps[:, None]
-    scale = (p.c * t) / np.add.reduceat(gaps, starts)
-    return np.add.reduceat(steps, starts, axis=0) * scale[:, None]
+    ends = np.cumsum(segments)
+    starts = ends - segments
+    total = int(ends[-1])
+    gaps = rng.standard_exponential(total)
+    z = rng.uniform(-1.0, 1.0, total)
+    phi = rng.uniform(0.0, 2.0 * math.pi, total)
+    out = np.empty((size, 3))
+    for i in range(0, size, _BLOCK):
+        j = min(i + _BLOCK, size)
+        lo, hi = starts[i], ends[j - 1]
+        rows = starts[i:j] - lo
+        steps = _unit_vectors(z[lo:hi], phi[lo:hi])
+        steps *= gaps[lo:hi, None]
+        scale = (p.c * t) / np.add.reduceat(gaps[lo:hi], rows)
+        np.multiply(np.add.reduceat(steps, rows, axis=0), scale[:, None], out=out[i:j])
+    return out
 
 
 def sample_positions_given_n(
@@ -122,13 +140,25 @@ def sample_positions(
     return _endpoints(counts, t, p, rng), counts
 
 
+def _workers(workers: Optional[int] = None) -> int:
+    """The thread count a Monte Carlo call uses: workers, or by default every
+    CPU this process may run on."""
+    if workers is not None:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _per_chunk(
-    t: float, p: FlightParams, cfg: McConfig, fn, condition: Optional[int] = None, workers: int = 1
+    t: float, p: FlightParams, cfg: McConfig, fn,
+    condition: Optional[int] = None, workers: Optional[int] = None,
 ) -> list:
     """fn(positions, counts) of every chunk of the (seed, k) stream, in chunk order.
 
     Chunk k is drawn once from substream(cfg.seed, k); with condition=n it
-    is drawn given exactly n switches and counts is None.
+    is drawn given exactly n switches and counts is None.  Chunks run on
+    _workers(workers) threads; fn must be safe to call from any of them.
     """
     full, rem = divmod(cfg.samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rem] if rem else [])
@@ -139,6 +169,7 @@ def _per_chunk(
             return fn(*sample_positions(t, p, size, rng))
         return fn(sample_positions_given_n(condition, t, p, size, rng), None)
 
+    workers = min(_workers(workers), len(sizes))
     if workers <= 1:
         return [one(i, s) for i, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -197,7 +228,7 @@ def estimate_cf(
     p: FlightParams,
     cfg: McConfig,
     condition: Optional[int] = None,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> CfEstimate:
     """Empirical characteristic function at alpha = (alpha_norm, 0, 0).
 
@@ -212,7 +243,7 @@ def estimate_cf(
 
 
 def estimate_ball_prob(
-    r: float, t: float, p: FlightParams, cfg: McConfig, workers: int = 1
+    r: float, t: float, p: FlightParams, cfg: McConfig, workers: Optional[int] = None
 ) -> McEstimate:
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
     if t <= 0:
@@ -232,7 +263,7 @@ def radial_histogram(
     cfg: McConfig,
     bins: int,
     condition: Optional[int] = None,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> RadialHistogram:
     """Empirical radial mass per bin on [0, ct], atom mass reported separately.
 

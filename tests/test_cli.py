@@ -1,9 +1,11 @@
 """Command-line interface: CSV contracts, determinism, exit codes."""
 import math
+import re
 
 import pytest
 
 import markovflight.validate
+from markovflight import montecarlo
 from markovflight.cli import main
 from markovflight.validate import CheckReport
 
@@ -56,6 +58,27 @@ class TestDensityProfile:
     def test_verbose_prints_runspec(self, capsys):
         _, _, err = run_cli(["density-profile", "--points", "2", "--verbose"], capsys)
         assert "runspec:" in err and "density-profile" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--quick"],
+    ["simulate", "--samples", "20000", "--seed", "7"],
+    ["simulate", "--samples", "500", "--seed", "7", "--raw"],
+], ids=["validate", "simulate", "simulate_raw"])
+def test_verbose_reports_workers_and_wall_time_on_stderr(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    verbose_code, verbose_out, verbose_err = run_cli(argv + ["--verbose"], capsys)
+    assert verbose_code == code == 0
+    assert err == ""
+    # stdout is byte-identical, so a summary line stays the last line
+    assert verbose_out == out
+    if argv[0] == "validate":
+        assert re.fullmatch(r"\d+/\d+ checks passed", out.splitlines()[-1])
+    lines = verbose_err.splitlines()
+    assert lines[0].startswith("runspec: ")
+    assert lines[1] == f"workers: {montecarlo._workers()}"
+    assert re.fullmatch(r"wall_s: \d+\.\d{3}", lines[2])
+    assert len(lines) == 3
 
 
 class TestGcurves:

@@ -5,9 +5,13 @@ lives in the acceptance tests; here the samples are small and the assertions
 are structural (exact support, exact determinism, partition of mass) or
 generous (4 sigma) so the suite stays fast and seed-robust.  The batch law
 is checked against `sample_position`, a literal one-path simulator defined
-here that shares no code with the package's samplers.
+here that shares no code with the package's samplers, and the blocked
+endpoint kernel against `whole_array_endpoints`, the same arithmetic done
+once over the whole batch.
 """
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from markovflight import (
     sample_positions_given_n,
     substream,
 )
+from markovflight import montecarlo
 from markovflight.errors import DomainError
 
 P = FlightParams(c=5.0, lam=2.0)
@@ -72,6 +77,21 @@ def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> Path
         n += 1
     pos *= p.c
     return PathSample(position=Vec3(*map(float, pos)), n_switches=n)
+
+
+def whole_array_endpoints(counts, t, p, rng):
+    """Endpoints from one pass over every segment of the batch, no blocks."""
+    if len(counts) == 0:
+        return np.zeros((0, 3))
+    segments = counts + 1
+    starts = np.concatenate([[0], np.cumsum(segments)[:-1]])
+    gaps = rng.standard_exponential(int(segments.sum()))
+    z = rng.uniform(-1.0, 1.0, len(gaps))
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(gaps))
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    steps = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1) * gaps[:, None]
+    scale = (p.c * t) / np.add.reduceat(gaps, starts)
+    return np.add.reduceat(steps, starts, axis=0) * scale[:, None]
 
 
 class TestSubstream:
@@ -185,6 +205,78 @@ class TestDenseSwitching:
         b = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40, workers=3)
         assert np.array_equal(a.masses, b.masses)
         assert a.atom_fraction == b.atom_fraction
+
+
+class TestBlockedEndpoints:
+    """The blocked kernel gives the whole-array result bit for bit."""
+
+    SIZES = [0, 1, 4095, 4097, 65_536]
+
+    @staticmethod
+    def assert_same(counts, t, p, key):
+        got = montecarlo._endpoints(counts, t, p, substream(SEED, key))
+        want = whole_array_endpoints(counts, t, p, substream(SEED, key))
+        assert got.shape == (len(counts), 3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("p, t", [(P, T), (P_DENSE, T_DENSE)], ids=["lt0.2", "lt3"])
+    def test_poisson_counts(self, p, t, size):
+        counts = substream(SEED, 40).poisson(p.lam * t, size)
+        self.assert_same(counts, t, p, 41)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_conditional_counts(self, n, size):
+        self.assert_same(np.full(size, n), T, P, 42)
+
+    def test_long_paths_at_block_edges(self):
+        # the paths either side of each block edge carry many segments
+        block = montecarlo._BLOCK
+        counts = substream(SEED, 43).poisson(3.0, 3 * block + 5)
+        for edge in (block, 2 * block, 3 * block):
+            counts[edge - 2:edge + 2] = [17, 40, 1, 25]
+        self.assert_same(counts, T_DENSE, P_DENSE, 44)
+
+    def test_public_samplers_use_the_kernel(self):
+        pos, ns = sample_positions(T_DENSE, P_DENSE, 5000, substream(SEED, 45))
+        rng = substream(SEED, 45)
+        counts = rng.poisson(P_DENSE.lam * T_DENSE, 5000)
+        assert np.array_equal(ns, counts)
+        assert np.array_equal(pos, whole_array_endpoints(counts, T_DENSE, P_DENSE, rng))
+
+
+class TestDefaultWorkers:
+    """workers=None runs on every CPU the process may use, with the same bits."""
+
+    CFG = McConfig(samples=200_001, seed=SEED)  # four chunks, the last partial
+
+    @pytest.mark.parametrize("condition", [None, 2])
+    def test_estimate_cf(self, condition):
+        a = estimate_cf(2.0, T, P, self.CFG, condition=condition)
+        b = estimate_cf(2.0, T, P, self.CFG, condition=condition, workers=1)
+        assert a == b
+
+    def test_estimate_ball_prob(self):
+        a = estimate_ball_prob(0.25, T, P, self.CFG)
+        assert a == estimate_ball_prob(0.25, T, P, self.CFG, workers=1)
+
+    def test_radial_histogram(self):
+        a = radial_histogram(T_DENSE, P_DENSE, self.CFG, bins=40)
+        b = radial_histogram(T_DENSE, P_DENSE, self.CFG, bins=40, workers=1)
+        assert np.array_equal(a.masses, b.masses)
+        assert a.atom_fraction == b.atom_fraction
+
+    def chunk_threads(self, monkeypatch, cpus):
+        # the identity of the thread that ran each chunk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return set(montecarlo._per_chunk(T, P, self.CFG, lambda pos, ns: threading.get_ident()))
+
+    def test_one_cpu_runs_serially(self, monkeypatch):
+        assert self.chunk_threads(monkeypatch, 1) == {threading.get_ident()}
+
+    def test_several_cpus_use_a_pool(self, monkeypatch):
+        assert threading.get_ident() not in self.chunk_threads(monkeypatch, 3)
 
 
 def test_empty_batches():

@@ -1,5 +1,6 @@
 """Quadrature oracles and the cross-check suite machinery."""
 import math
+import threading
 
 import pytest
 
@@ -133,6 +134,18 @@ class TestIntegrateAcDensity:
             integrate_ac_density(0.1, P, tol=0.0)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("integrate", [
+    lambda t: integrate_ac_density(t, P),
+    lambda t: integrate_ac_density_ball(0.1, t, P),
+], ids=["whole_ball", "subball"])
+def test_time_outside_domain_is_domain_error(integrate, t):
+    # raised before any quadrature: no ZeroDivisionError, nan, or a value at t <= 0
+    with pytest.raises(DomainError, match="t must be finite and > 0") as info:
+        integrate(t)
+    assert not isinstance(info.value, RadiusOutsideBall)
+
+
 class TestIntegrateAcDensityBall:
     def test_matches_series(self):
         for ratio in (0.2, 0.5, 0.8, 0.95):
@@ -263,10 +276,12 @@ def counted_suite():
     """run_suite at 1e5 samples, with the samples each batch sampler was asked for."""
     drawn = {"sample_positions": 0, "sample_positions_given_n": 0}
     originals = {name: getattr(montecarlo, name) for name in drawn}
+    lock = threading.Lock()  # chunks are drawn on several threads
 
     def counting(name):
         def sampler(*args):
-            drawn[name] += args[-2]  # size comes just before the generator
+            with lock:
+                drawn[name] += args[-2]  # size comes just before the generator
             return originals[name](*args)
 
         return sampler
