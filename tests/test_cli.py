@@ -163,6 +163,14 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--t", "0"], capsys)
         assert code == 2 and "usage error" in err
 
+    @pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["histogram", "raw"])
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_t_is_usage_error(self, capsys, t, raw):
+        code, out, err = run_cli(self.ARGS + ["--t", t] + raw, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("markovflight: usage error: ")
+
 
 class TestValidateCommand:
     def test_quick_exit_zero(self, capsys):

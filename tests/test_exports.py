@@ -1,5 +1,9 @@
 """The package's public names: one list per module, gathered by the package."""
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +50,15 @@ def test_internal_helpers_stay_importable_but_private():
     assert callable(log_gamma) and callable(hyp3f2_unit_terminating)
     assert "log_gamma" not in markovflight.__all__
     assert "hyp3f2_unit_terminating" not in markovflight.__all__
+
+
+@pytest.mark.parametrize("module", ["markovflight", "markovflight.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats costs about 0.5 s of every command's start; nothing needs it
+    code = f"import sys, {module}; print(any(k.startswith('scipy.stats') for k in sys.modules))"
+    src = str(Path(markovflight.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -297,13 +297,40 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     lambda: radial_histogram(-0.1, P, _CFG, bins=10),
     lambda: radial_histogram(-0.1, P, _CFG, bins=10, condition=0),
     lambda: radial_histogram(T, P, _CFG, bins=10, condition=-2),
+    lambda: estimate_ball_prob(math.nan, T, P, _CFG),
+    lambda: estimate_ball_prob(math.inf, T, P, _CFG),
+    lambda: estimate_cf(math.nan, T, P, _CFG),
+    lambda: estimate_cf(math.inf, T, P, _CFG, condition=1),
+    lambda: sample_positions_given_n(2, math.nan, P, 10, substream(SEED, 0)),
+    lambda: sample_positions_given_n(2, math.inf, P, 10, substream(SEED, 0)),
+    lambda: sample_positions(math.nan, P, 10, substream(SEED, 0)),
+    lambda: sample_positions(math.inf, P, 10, substream(SEED, 0)),
+    lambda: estimate_cf(2.0, math.nan, P, _CFG),
+    lambda: estimate_cf(2.0, math.inf, P, _CFG),
+    lambda: estimate_ball_prob(0.1, math.nan, P, _CFG),
+    lambda: estimate_ball_prob(0.1, math.inf, P, _CFG),
+    lambda: radial_histogram(math.nan, P, _CFG, bins=10),
+    lambda: radial_histogram(math.inf, P, _CFG, bins=10, condition=0),
+    lambda: estimate_cf(2.0, T, P, _CFG, workers=0),
+    lambda: estimate_ball_prob(0.1, T, P, _CFG, workers=-2),
+    lambda: estimate_ball_prob(CT, T, P, _CFG, workers=0),
+    lambda: radial_histogram(T, P, _CFG, bins=10, workers=0),
+    lambda: radial_histogram(T, P, _CFG, bins=10, condition=0, workers=-2),
 ], ids=[
     "sample_positions", "sample_positions_given_n", "estimate_cf",
     "estimate_conditional_cf", "estimate_ball_prob", "radial_histogram",
     "radial_histogram_no_switch", "radial_histogram_negative_condition",
+    "ball_prob_r_nan", "ball_prob_r_inf", "cf_alpha_nan", "conditional_cf_alpha_inf",
+    "given_n_t_nan", "given_n_t_inf", "positions_t_nan", "positions_t_inf",
+    "cf_t_nan", "cf_t_inf", "ball_prob_t_nan", "ball_prob_t_inf",
+    "histogram_t_nan", "histogram_no_switch_t_inf",
+    "cf_workers_0", "ball_prob_workers_-2", "ball_prob_whole_ball_workers_0",
+    "histogram_workers_0", "histogram_no_switch_workers_-2",
 ])
 def test_bad_time_or_count_is_domain_error(call):
-    # numpy's own ValueError (lam < 0, negative dimensions) must not leak out
+    # numpy's own ValueError (lam < 0 or NaN, negative dimensions) must not
+    # leak out, and a non-finite t, r or frequency must not give a silently
+    # wrong number; worker counts below 1 must not quietly run serially
     with pytest.raises(DomainError):
         call()
 

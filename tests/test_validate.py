@@ -2,7 +2,9 @@
 import math
 import threading
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from markovflight import (
     DEFAULT_SEED,
@@ -211,7 +213,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(specfun, "si", boom)
         monkeypatch.setattr(montecarlo, "sample_positions", boom)
-        monkeypatch.setattr(validate.stats, "kstest", boom)
+        monkeypatch.setattr(validate, "_ks_pvalue", boom)
         reports = run_suite(cfg=McConfig(samples=10**4, seed=20260814))
         assert [r.name for r in reports] == FULL_NAMES
         failed = {r.name: r for r in reports if not r.passed}
@@ -317,3 +319,53 @@ class TestSinglePass:
         assert reports["mc_conditional_cf_n2_x1"].lhs == (
             estimate_cf(1.0 / (P.c * t), t, P, cond_cfg, condition=2).real.mean
         )
+
+
+class TestStatisticsMatchScipyStats:
+    """The suite's Poisson, chi-square and KS arithmetic, against scipy.stats."""
+
+    SUITE_CFG = McConfig(samples=10**6, seed=DEFAULT_SEED)
+
+    @pytest.mark.parametrize("mu", [0.2, 3.0, 20.0])
+    def test_poisson_pmf_bit_equal(self, mu):
+        k = np.arange(64)
+        assert np.array_equal(validate._poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+
+    def test_chisquare_bit_equal_on_the_suite_counts(self, monkeypatch):
+        chisquare = validate._chisquare
+        seen = []
+
+        def recording(observed, expected):
+            seen.append((observed, expected))
+            return chisquare(observed, expected)
+
+        monkeypatch.setattr(validate, "_chisquare", recording)
+        rows, _ = validate._mc_rows_at(P, 0.1, self.SUITE_CFG)
+        dict(rows)["mc_switch_chisquare_t0.1"]()
+        [(observed, expected)] = seen
+        assert len(observed) >= 3
+        ref = stats.chisquare(observed, expected)
+        assert chisquare(observed, expected) == (ref.statistic, ref.pvalue)
+
+    def test_ks_distance_bit_equal_at_the_suite_seed(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(validate, "_ks_pvalue", lambda d, n: seen.append((d, n)) or 0.5)
+        validate._directions(self.SUITE_CFG)
+        [(d, n)] = seen
+        z = montecarlo.substream(DEFAULT_SEED, 999_983).uniform(-1.0, 1.0, n)
+        assert d == stats.kstest(z, lambda x: (x + 1.0) / 2.0).statistic
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("scaled", [1.40, 1.5, 1.628, 2.0, 3.0])
+    def test_ks_pvalue_never_above_exact_in_the_tail(self, n, scaled):
+        # so a p < 0.01 decision never passes a distance the exact law fails
+        d = scaled / math.sqrt(n)
+        assert validate._ks_pvalue(d, n) <= stats.kstwo.sf(d, n)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("scaled", [0.8, 1.0, 1.36])
+    def test_ks_pvalue_near_exact_in_the_body(self, n, scaled):
+        # the largest gap is 0.21/sqrt(n) relative, near sqrt(n) d = 0.82
+        d = scaled / math.sqrt(n)
+        exact = stats.kstwo.sf(d, n)
+        assert abs(validate._ks_pvalue(d, n) - exact) <= 0.25 / math.sqrt(n) * exact
