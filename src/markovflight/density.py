@@ -40,8 +40,8 @@ class RadialProfile:
 
 
 def _check_t(t: float):
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t}")
 
 
 def singular_weight(t: float, p: FlightParams) -> float:
@@ -62,8 +62,8 @@ def ac_density(r: float, t: float, p: FlightParams) -> float:
     limit lam/(2 pi c^3 t^2), switched to below r = 1e-9 ct.
     """
     _check_t(t)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
     ct = p.c * t
     if r >= ct:
         return 0.0
@@ -104,8 +104,8 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     tends to g_tilde(t): the first bracket reaches 1 and the arcsin pi/2.
     """
     _check_t(t)
-    if r < 0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
     ct = p.c * t
     if r >= ct:
         raise RadiusOutsideBall(f"r={r} must be < ct={ct}")

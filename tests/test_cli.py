@@ -39,6 +39,12 @@ class TestDensityProfile:
         assert code == 2
         assert "usage error" in err
 
+    def test_nan_t_is_usage_error_about_t(self, capsys):
+        code, out, err = run_cli(["density-profile", "--t", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error: t must be finite and > 0" in err
+
     def test_two_points(self, capsys):
         code, out, _ = run_cli(["density-profile", "--points", "2"], capsys)
         assert code == 0
@@ -117,6 +123,13 @@ class TestGcurves:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(["gcurves", "--tmin", "1", "--tmax", "0.5"], capsys)
         assert code == 2 and "usage error" in err
+
+    def test_infinite_tmax_is_usage_error(self, capsys):
+        # it printed rows such as 1,inf,1,nan,nan and exited 0
+        code, out, err = run_cli(["gcurves", "--tmax", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
 
 class TestSimulate:

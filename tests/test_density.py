@@ -226,3 +226,21 @@ class TestRadialProfile:
     def test_point_count(self):
         with pytest.raises(DomainError):
             radial_profile(T, P, 1, 0.4)
+
+
+# a NaN or infinite time or radius is outside every function's domain: each
+# call below returned nan (or the limit 1.0, for g_exact) instead of raising
+@pytest.mark.parametrize("call", [
+    lambda: g_tilde(math.nan, P),
+    lambda: ac_density(0.1, math.nan, P),
+    lambda: ac_density(math.nan, 0.1, P),
+    lambda: ball_prob_asymptotic(math.nan, 0.1, P),
+    lambda: switch_tail_error(math.inf, P),
+    lambda: g_exact(math.inf, P),
+], ids=[
+    "g_tilde_t_nan", "ac_density_t_nan", "ac_density_r_nan",
+    "ball_prob_r_nan", "switch_tail_t_inf", "g_exact_t_inf",
+])
+def test_non_finite_time_or_radius_is_domain_error(call):
+    with pytest.raises(DomainError, match="must be finite"):
+        call()

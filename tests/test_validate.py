@@ -1,7 +1,9 @@
 """Quadrature oracles and the cross-check suite machinery."""
 import math
 import threading
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -135,6 +137,44 @@ class TestIntegrateAcDensity:
         with pytest.raises(DomainError):
             integrate_ac_density(0.1, P, tol=0.0)
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    def test_termwise_targets_to_roundoff(self, lam, t):
+        p = FlightParams(c=5.0, lam=lam)
+        lt = lam * t
+        for term, exact in (("log", lt), ("sqrt", lt * lt / 2.0), ("const", lt**3 / 6.0)):
+            got = integrate_ac_density(t, p, term=term)
+            assert abs(got - exact) <= 2e-12 * max(1.0, exact), term
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("integrate", [
+    lambda tol: integrate_ac_density(0.1, P, tol=tol),
+    lambda tol: integrate_ac_density_ball(0.1, 0.1, P, tol=tol),
+], ids=["whole_ball", "subball"])
+def test_tol_outside_domain_is_domain_error(integrate, tol):
+    # a NaN tol once returned a value: no error estimate exceeds nan
+    with pytest.raises(DomainError, match="tol must be finite and > 0"):
+        integrate(tol)
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.1, 1.0, 30.0])
+def test_integrators_warn_never(lam, t):
+    # a finite value or QuadratureNotConverged, and no warning on the way
+    p = FlightParams(c=5.0, lam=lam)
+    calls = [lambda: integrate_ac_density(t, p)] + [
+        lambda ratio=ratio: integrate_ac_density_ball(ratio * p.c * t, t, p)
+        for ratio in (0.2, 0.999999)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            try:
+                assert math.isfinite(call())
+            except QuadratureNotConverged:
+                pass
+
 
 @pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
 @pytest.mark.parametrize("integrate", [
@@ -165,9 +205,18 @@ class TestIntegrateAcDensityBall:
 
 class TestQuad:
     def test_quadrature_not_converged(self):
-        f = lambda x: 1.0 if x < math.pi / 10.0 else 0.0
+        f = lambda x: np.where(x < math.pi / 10.0, 1.0, 0.0)
         with pytest.raises(QuadratureNotConverged):
             _quad(f, 0.0, 1.0, 1e-15)
+
+    def test_sine_and_cosine_integrals_against_mpmath(self):
+        # the suite's si/neg_cin reference rows, at their 80 points
+        for x in np.linspace(0.1, 40.0, 80):
+            x = float(x)
+            si = _quad(lambda u: np.sin(u) / u, 0.0, x, 1e-11)
+            cin = _quad(lambda u: (np.cos(u) - 1.0) / u, 0.0, x, 1e-11)
+            assert abs(si - float(mpmath.si(x))) <= 1e-13, x
+            assert abs(cin - float(mpmath.ci(x) - mpmath.euler - mpmath.log(x))) <= 1e-13, x
 
 
 class TestRunSuite:
