@@ -104,24 +104,9 @@ def gamma_sum_identity(n: int, a: float) -> tuple:
     # lhs: the sum equals sqrt(pi) Gamma(n+1/2)/(a n!) * 3F2(-n,1/2,a/2; -n+1/2,a/2+1; 1)
     pref = _SQRT_PI * math.exp(log_gamma(n + 0.5) - log_gamma(n + 1.0)) / a
     lhs = pref * hyp3f2_unit_terminating(n, a)
-    if a > 0:
-        rhs = (
-            math.pi
-            * math.exp(
-                log_gamma(a / 2.0)
-                + log_gamma(n + (a + 1.0) / 2.0)
-                - log_gamma((a + 1.0) / 2.0)
-                - log_gamma(n + a / 2.0)
-            )
-            / (2.0 * n + a)
-        )
-    else:
-        # negative non-integer a: go through scipy-free reflection via math.gamma,
-        # which accepts negative non-integer arguments directly
-        rhs = (
-            math.pi
-            * math.gamma(a / 2.0)
-            * math.gamma(n + (a + 1.0) / 2.0)
-            / ((2.0 * n + a) * math.gamma((a + 1.0) / 2.0) * math.gamma(n + a / 2.0))
-        )
+    # rhs through log|Gamma|, each Gamma(x) at x < 0 carrying its sign (-1)^ceil(-x)
+    args = (a / 2.0, n + (a + 1.0) / 2.0, (a + 1.0) / 2.0, n + a / 2.0)
+    sign = math.prod(1.0 if x > 0 else (-1.0) ** math.ceil(-x) for x in args)
+    lg = [math.lgamma(x) for x in args]
+    rhs = math.pi * sign * math.exp(lg[0] + lg[1] - lg[2] - lg[3]) / (2.0 * n + a)
     return lhs, rhs

@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonFinite, TruncationNotConverged
-from .model import FlightParams
+from .errors import TruncationNotConverged
+from .model import FlightParams, check_radius, check_time
 from .specfun import bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
 from .arctan_series import quartic_gamma
 
 __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 
-# Below this value of x = c*t*||alpha|| every H_n switches to its Taylor
-# polynomial: the direct forms are 0/0 at x = 0 and the quartic truncation
-# error is ~1e-14 at the cutoff.
-_SMALL_X = 1e-3
+# Below this value of x = c*t*||alpha|| each H_n is within x^2/6 < 2e-17 of 1,
+# and h_asymptotic's Bessel pieces as close to 1/2 and 1/6, so all of them
+# round to those constants; the direct forms are 0/0 at x = 0.
+_SMALL_X = 1e-8
 
 # The Bessel series stop at the first term below _TAIL_TOL past the peak of
 # the terms (k + 1 > x) and raise TruncationNotConverged after _MAX_TERMS
@@ -45,12 +45,8 @@ class FreqQuery:
     t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_norm) and math.isfinite(self.t)):
-            raise NonFinite("FreqQuery fields must be finite")
-        if self.alpha_norm < 0:
-            raise DomainError(f"alpha_norm must be >= 0, got {self.alpha_norm}")
-        if self.t <= 0:
-            raise DomainError(f"t must be > 0, got {self.t}")
+        check_radius(self.alpha_norm, name="alpha_norm")
+        check_time(self.t)
 
 
 def _x(q: FreqQuery, p: FlightParams) -> float:
@@ -61,8 +57,7 @@ def h0(q: FreqQuery, p: FlightParams) -> float:
     """No-switch characteristic function sin(x)/x (uniform law on the sphere r = ct)."""
     x = _x(q, p)
     if x < _SMALL_X:
-        xx = x * x
-        return 1.0 - xx / 6.0 + xx * xx / 120.0
+        return 1.0
     return math.sin(x) / x
 
 
@@ -74,8 +69,7 @@ def h1(q: FreqQuery, p: FlightParams) -> float:
     """
     x = _x(q, p)
     if x < _SMALL_X:
-        xx = x * x
-        return 1.0 - xx / 9.0 + 23.0 * xx * xx / 5400.0
+        return 1.0
     return (math.sin(x) * si(2.0 * x) + math.cos(x) * neg_cin(2.0 * x)) / (x * x)
 
 
@@ -106,8 +100,7 @@ def h2_series(q: FreqQuery, p: FlightParams) -> float:
     """
     x = _x(q, p)
     if x < _SMALL_X:
-        xx = x * x
-        return 1.0 - xx / 12.0 + 7.0 * xx * xx / 2700.0
+        return 1.0
     log_half_x = math.log(0.5 * x)
     return _bessel_series("H2 series", x, lambda k: (
         math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
@@ -123,8 +116,7 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
     """
     x = _x(q, p)
     if x < _SMALL_X:
-        xx = x * x
-        return 1.0 - xx / 15.0 + 11.0 * xx * xx / 6300.0
+        return 1.0
     log_x = math.log(x)
     return _bessel_series("H3 series", x, lambda k: (
         3.0
@@ -149,9 +141,7 @@ def h_asymptotic(q: FreqQuery, p: FlightParams) -> float:
     x = _x(q, p)
     lt = p.lam * q.t
     if x < _SMALL_X:
-        xx = x * x
-        g2 = 0.5 - xx / 16.0 + xx * xx / 384.0
-        g3 = (1.0 - xx / 10.0 + xx * xx / 280.0) / 6.0
+        g2, g3 = 0.5, 1.0 / 6.0
     else:
         g2 = bessel_j(1, x) / x
         g3 = _SQRT_PI / (2.0 * x) ** 1.5 * bessel_j(1.5, x)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RadiusOutsideBall
-from .model import DensityValue, FlightParams, Vec3
+from .errors import DomainError
+from .model import DensityValue, FlightParams, Vec3, check_radius, check_time
 
 __all__ = [
     "RadialProfile",
@@ -39,14 +39,9 @@ class RadialProfile:
     values: np.ndarray
 
 
-def _check_t(t: float):
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be finite and > 0, got {t}")
-
-
 def singular_weight(t: float, p: FlightParams) -> float:
     """Mass e^(-lam t) of the sphere atom (no switch up to time t)."""
-    _check_t(t)
+    check_time(t)
     return math.exp(-p.lam * t)
 
 
@@ -61,9 +56,8 @@ def ac_density(r: float, t: float, p: FlightParams) -> float:
     approached from inside).  The log term has a removable 0/0 at r = 0 with
     limit lam/(2 pi c^3 t^2), switched to below r = 1e-9 ct.
     """
-    _check_t(t)
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+    check_time(t)
+    check_radius(r)
     ct = p.c * t
     if r >= ct:
         return 0.0
@@ -79,7 +73,6 @@ def ac_density(r: float, t: float, p: FlightParams) -> float:
 
 def density_at(x: Vec3, t: float, p: FlightParams) -> DensityValue:
     """Full decomposition at a point: sphere atom plus interior a.c. value."""
-    _check_t(t)
     return DensityValue(
         atom_radius=p.c * t,
         atom_mass=singular_weight(t, p),
@@ -103,12 +96,9 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     the integral of 4 pi s^2 ac_density(s) over [0, r].  As r -> ct the value
     tends to g_tilde(t): the first bracket reaches 1 and the arcsin pi/2.
     """
-    _check_t(t)
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+    check_time(t)
     ct = p.c * t
-    if r >= ct:
-        raise RadiusOutsideBall(f"r={r} must be < ct={ct}")
+    check_radius(r, ct)
     if r == 0.0:
         return 0.0
     ratio = r / ct
@@ -132,14 +122,14 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
 
 def g_exact(t: float, p: FlightParams) -> float:
     """Exact mass of the absolutely continuous part, 1 - e^(-lam t)."""
-    _check_t(t)
+    check_time(t)
     return 1.0 - math.exp(-p.lam * t)
 
 
 def g_tilde(t: float, p: FlightParams) -> float:
     """Mass of the three-term density approximation,
     e^(-lam t)(lam t + (lam t)^2/2 + (lam t)^3/6); never exceeds g_exact."""
-    _check_t(t)
+    check_time(t)
     lt = p.lam * t
     return math.exp(-lt) * (lt + lt * lt / 2.0 + lt**3 / 6.0)
 
@@ -151,20 +141,17 @@ def switch_tail_error(t: float, p: FlightParams) -> float:
     paths with at most three switches, so its mass deficit is exactly the
     probability of four or more.
     """
-    _check_t(t)
+    check_time(t)
     lt = p.lam * t
     return 1.0 - math.exp(-lt) * (1.0 + lt + lt * lt / 2.0 + lt**3 / 6.0)
 
 
 def radial_profile(t: float, p: FlightParams, n_points: int, r_max: float) -> RadialProfile:
     """Density table on the uniform grid [0, r_max] with n_points entries."""
-    _check_t(t)
+    check_time(t)
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    if not r_max < p.c * t:
-        raise RadiusOutsideBall(f"r_max={r_max} must be < ct={p.c * t}")
-    if r_max < 0:
-        raise DomainError(f"r_max must be >= 0, got {r_max}")
+    check_radius(r_max, p.c * t, "r_max")
     radii = np.linspace(0.0, r_max, n_points)
     values = np.array([ac_density(float(r), t, p) for r in radii])
     return RadialProfile(t=t, radii=radii, values=values)

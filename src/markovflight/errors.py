@@ -24,7 +24,7 @@ class NonPositiveIntensity(DomainError):
 
 
 class NonFinite(DomainError):
-    """A parameter that must be finite is NaN or infinite."""
+    """A parameter required to be finite is NaN or infinite."""
 
 
 class UnsupportedPower(DomainError):

@@ -1,10 +1,13 @@
-"""Shared parameter and result types with their invariants; no algorithms."""
+"""Shared parameter and result types with their invariants, and the input
+domain of every function of time and radius; no algorithms."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonFinite, NonPositiveIntensity, NonPositiveSpeed
+from .errors import (
+    DomainError, NonFinite, NonPositiveIntensity, NonPositiveSpeed, RadiusOutsideBall,
+)
 
 __all__ = [
     "FlightParams",
@@ -13,6 +16,23 @@ __all__ = [
     "McConfig",
     "McEstimate",
 ]
+
+
+def check_time(t: float) -> None:
+    """Raise unless t is finite and > 0, where every object of the flight is defined."""
+    if not 0.0 < t < math.inf:
+        error = DomainError if math.isfinite(t) else NonFinite
+        raise error(f"t must be finite and > 0, got {t}")
+
+
+def check_radius(r: float, ct: float = math.inf, name: str = "r") -> None:
+    """Raise unless r is finite and 0 <= r < ct: RadiusOutsideBall when r >= ct,
+    the open ball of radius ct being where the density lives."""
+    if not 0.0 <= r < math.inf:
+        error = DomainError if math.isfinite(r) else NonFinite
+        raise error(f"{name} must be finite and >= 0, got {r}")
+    if r >= ct:
+        raise RadiusOutsideBall(f"{name}={r} must be < ct={ct}")
 
 
 @dataclass(frozen=True)

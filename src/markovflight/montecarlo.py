@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import FlightParams, McConfig, McEstimate
+from .model import FlightParams, McConfig, McEstimate, check_radius, check_time
 
 __all__ = [
     "CfEstimate",
@@ -68,15 +68,8 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def _check_inputs(
-    t: float, r: float = 0.0, alpha_norm: float = 0.0, workers: Optional[int] = None
-) -> None:
-    """Raise DomainError unless t is finite and > 0, r finite and >= 0,
-    alpha_norm finite and workers None or >= 1."""
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"t must be finite and > 0, got {t}")
-    if not (math.isfinite(r) and r >= 0):
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+def _check_inputs(alpha_norm: float = 0.0, workers: Optional[int] = None) -> None:
+    """Raise DomainError unless alpha_norm is finite and workers None or >= 1."""
     if not math.isfinite(alpha_norm):
         raise DomainError(f"alpha_norm must be finite, got {alpha_norm}")
     if workers is not None and workers < 1:
@@ -135,7 +128,7 @@ def sample_positions_given_n(
     """Batch of `size` endpoints conditioned on exactly n switches; shape (size, 3)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    _check_inputs(t)
+    check_time(t)
     return _endpoints(np.full(size, n), t, p, rng)
 
 
@@ -148,7 +141,7 @@ def sample_positions(
     Poisson(lam t); each path then draws exactly counts + 1 segments, so no
     row is padded and nothing is sorted.
     """
-    _check_inputs(t)
+    check_time(t)
     counts = rng.poisson(p.lam * t, size)
     return _endpoints(counts, t, p, rng), counts
 
@@ -251,7 +244,8 @@ def estimate_cf(
     """
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
-    _check_inputs(t, alpha_norm=alpha_norm, workers=workers)
+    check_time(t)
+    _check_inputs(alpha_norm, workers)
     parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), condition, workers)
     return _cf_estimate(parts, cfg.samples)
 
@@ -260,7 +254,9 @@ def estimate_ball_prob(
     r: float, t: float, p: FlightParams, cfg: McConfig, workers: Optional[int] = None
 ) -> McEstimate:
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
-    _check_inputs(t, r=r, workers=workers)
+    check_time(t)
+    check_radius(r)
+    _check_inputs(workers=workers)
     if r >= p.c * t:
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
@@ -283,7 +279,8 @@ def radial_histogram(
     (for n = 0 everything is atom).  Masses are fractions of the total sample
     count, so masses.sum() + atom_fraction == 1 exactly.
     """
-    _check_inputs(t, workers=workers)
+    check_time(t)
+    _check_inputs(workers=workers)
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, p.c * t, bins + 1)

@@ -22,8 +22,8 @@ import numpy as np
 from scipy import special
 
 from . import arctan_series, charfun, density, montecarlo, specfun
-from .errors import DomainError, QuadratureNotConverged, RadiusOutsideBall
-from .model import FlightParams, McConfig
+from .errors import DomainError, QuadratureNotConverged
+from .model import FlightParams, McConfig, check_radius, check_time
 
 __all__ = [
     "CheckReport",
@@ -126,8 +126,12 @@ def _quad(f, a: float, b: float, tol: float) -> float:
     return val
 
 
-def _pieces(p: FlightParams, t: float, r: float, tol: float) -> dict:
-    """Thunks for the bare integrals over [0, r] of the three bracket terms."""
+def _integrate(p: FlightParams, t: float, r: float, tol: float, term=None) -> float:
+    """Integral over [0, r] of 4 pi s^2 ac_density(s) to within tol, or with
+    term in {"log", "sqrt", "const"} the bare integral of that one bracket
+    term (no exponential prefactor) to within tol."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     ct = p.c * t
     lt = p.lam * t
 
@@ -143,18 +147,19 @@ def _pieces(p: FlightParams, t: float, r: float, tol: float) -> dict:
     def const_term(s):
         return p.lam**3 * s * s / (2.0 * p.c**3)
 
-    return {
-        "log": lambda: _quad(log_term, 0.0, r, tol),
-        "sqrt": lambda: _quad(sqrt_term, 0.0, math.asin(r / ct), tol),
-        "const": lambda: _quad(const_term, 0.0, r, tol),
+    spans = {
+        "log": (log_term, 0.0, r),
+        "sqrt": (sqrt_term, 0.0, math.asin(r / ct)),
+        "const": (const_term, 0.0, r),
     }
-
-
-def _check_quadrature_inputs(t: float, tol: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be finite and > 0, got {t}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if term is not None:
+        if term not in spans:
+            raise DomainError(f"term must be one of {sorted(spans)}, got {term!r}")
+        return _quad(*spans[term], tol)
+    # each bracket to within tol e^(lam t)/3 puts their sum times e^(-lam t)
+    # within tol; past e^700 the factor would overflow
+    bracket_tol = tol * math.exp(min(lt, 700.0)) / 3.0
+    return math.exp(-lt) * sum(_quad(*span, bracket_tol) for span in spans.values())
 
 
 def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None) -> float:
@@ -164,26 +169,19 @@ def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None
     equals g_tilde(t) up to quadrature error.  With term in {"log", "sqrt",
     "const"} returns the bare integral of that single bracket term (no
     exponential prefactor), whose exact values are lam t, (lam t)^2/2 and
-    (lam t)^3/6 respectively.
+    (lam t)^3/6 respectively.  tol bounds the error of the value returned.
     """
-    _check_quadrature_inputs(t, tol)
-    pieces = _pieces(p, t, p.c * t, tol)  # asin(1.0) is pi/2 exactly
-    if term is not None:
-        if term not in pieces:
-            raise DomainError(f"term must be one of {sorted(pieces)}, got {term!r}")
-        return pieces[term]()
-    return math.exp(-p.lam * t) * sum(fn() for fn in pieces.values())
+    check_time(t)
+    return _integrate(p, t, p.c * t, tol, term)  # asin(1.0) is pi/2 exactly
 
 
 def integrate_ac_density_ball(r: float, t: float, p: FlightParams, tol: float = 1e-8) -> float:
     """Radial integral of 4 pi rho^2 ac_density(rho) over [0, r], r < ct."""
-    _check_quadrature_inputs(t, tol)
-    ct = p.c * t
-    if r <= 0:
+    check_time(t)
+    check_radius(r, p.c * t)
+    if r == 0:
         raise DomainError(f"r must be > 0, got {r}")
-    if r >= ct:
-        raise RadiusOutsideBall(f"r={r} must be < ct={ct}")
-    return math.exp(-p.lam * t) * sum(fn() for fn in _pieces(p, t, r, tol).values())
+    return _integrate(p, t, r, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +624,10 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
         t_list = (0.1,)
     if cfg is None:
         cfg = McConfig(samples=10**6, seed=DEFAULT_SEED)
-    if not t_list or not all(0.0 < t < math.inf for t in t_list):
-        raise DomainError(f"t_list needs at least one t, each finite and > 0; got {t_list}")
+    if not t_list:
+        raise DomainError("t_list needs at least one t")
+    for t in t_list:
+        check_time(t)
     if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
         raise DomainError(
             f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"

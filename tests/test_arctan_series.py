@@ -115,6 +115,15 @@ class TestGammaSumIdentity:
         assert lhs == pytest.approx(ref, rel=1e-11)
         assert rhs == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("n,a", [(300, -0.5), (24, -1.5), (24, -2.5)])
+    def test_negative_a_at_large_n(self, n, a):
+        # the right side once took Gamma itself for a < 0, which overflows
+        # past Gamma(171.6): n = 300 raised OverflowError
+        ref = float(gamma_sum_direct_rational(n, Fraction(a))) * math.pi
+        lhs, rhs = gamma_sum_identity(n, a)
+        assert lhs == pytest.approx(ref, rel=1e-12)
+        assert rhs == pytest.approx(ref, rel=1e-12)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
             gamma_sum_identity(2, 0.0)

@@ -3,7 +3,7 @@
 h1 is rebuilt in the test from mpmath's sine/cosine integrals; h2/h3 carry
 frozen regression values (checked against conditional Monte Carlo in the
 acceptance tests) plus structural properties: value 1 at zero frequency,
-|H| <= 1, continuity across the small-argument Taylor guard.
+|H| <= 1, continuity across the small-argument guard.
 """
 import math
 
@@ -60,8 +60,8 @@ class TestH0:
         assert h0(FreqQuery(alpha_norm=0.0, t=0.1), P) == 1.0
 
     def test_guard_continuity(self):
-        lo = h0(query_for_x(1e-3 * (1 - 1e-9)), P)
-        hi = h0(query_for_x(1e-3 * (1 + 1e-9)), P)
+        lo = h0(query_for_x(1e-8 * (1 - 1e-9)), P)
+        hi = h0(query_for_x(1e-8 * (1 + 1e-9)), P)
         assert abs(lo - hi) < 1e-13
 
 
@@ -84,8 +84,8 @@ class TestH1:
                 assert abs(h1(query_for_x(float(x)), P) - ref) <= 2e-15, x
 
     def test_guard_continuity(self):
-        lo = h1(query_for_x(1e-3 * (1 - 1e-9)), P)
-        hi = h1(query_for_x(1e-3 * (1 + 1e-9)), P)
+        lo = h1(query_for_x(1e-8 * (1 - 1e-9)), P)
+        hi = h1(query_for_x(1e-8 * (1 + 1e-9)), P)
         assert abs(lo - hi) < 1e-13
 
     def test_intensity_free(self):
@@ -132,8 +132,8 @@ class TestH2H3:
 
     def test_guard_continuity(self):
         for fn in (h2_series, h3_series):
-            lo = fn(query_for_x(1e-3 * (1 - 1e-9)), P)
-            hi = fn(query_for_x(1e-3 * (1 + 1e-9)), P)
+            lo = fn(query_for_x(1e-8 * (1 - 1e-9)), P)
+            hi = fn(query_for_x(1e-8 * (1 + 1e-9)), P)
             assert abs(lo - hi) < 1e-13
 
     def test_bounded_by_one(self):
@@ -158,6 +158,22 @@ class TestH2H3:
         # tiny terms, before they peak, and return about -1e-18
         with pytest.raises(TruncationNotConverged):
             fn(query_for_x(x), P)
+
+
+# the quartic Taylor polynomials once used below x = 1e-3, kept as an oracle
+# for the direct forms and series that now run down to x = 1e-8
+TAYLOR = {
+    h0: lambda xx: 1.0 - xx / 6.0 + xx * xx / 120.0,
+    h1: lambda xx: 1.0 - xx / 9.0 + 23.0 * xx * xx / 5400.0,
+    h2_series: lambda xx: 1.0 - xx / 12.0 + 7.0 * xx * xx / 2700.0,
+    h3_series: lambda xx: 1.0 - xx / 15.0 + 11.0 * xx * xx / 6300.0,
+}
+
+
+@pytest.mark.parametrize("fn", list(TAYLOR), ids=lambda fn: fn.__name__)
+def test_small_x_matches_quartic_taylor(fn):
+    for x in np.geomspace(1e-8, 1e-2, 200):
+        assert abs(fn(query_for_x(float(x)), P) - TAYLOR[fn](float(x) ** 2)) <= 1e-14, x
 
 
 class TestHAsymptotic:

@@ -1,18 +1,37 @@
-"""Domain type validation."""
+"""Domain type validation, and the one time and radius domain of every entry point."""
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 
 from markovflight import (
     DensityValue,
     FlightParams,
+    FreqQuery,
     McConfig,
     McEstimate,
     NonFinite,
     NonPositiveIntensity,
     NonPositiveSpeed,
     Vec3,
+    ac_density,
+    ball_prob_asymptotic,
+    density_at,
+    estimate_ball_prob,
+    estimate_cf,
+    g_exact,
+    g_tilde,
+    integrate_ac_density,
+    integrate_ac_density_ball,
+    radial_histogram,
+    radial_profile,
+    run_suite,
+    sample_positions,
+    sample_positions_given_n,
+    singular_weight,
+    switch_tail_error,
 )
 from markovflight.errors import DomainError
 
@@ -92,3 +111,62 @@ class TestMcEstimate:
     def test_fields(self):
         e = McEstimate(mean=0.5, std_error=0.01, samples=100)
         assert (e.mean, e.std_error, e.samples) == (0.5, 0.01, 100)
+
+
+P = FlightParams(c=5.0, lam=2.0)
+CFG = McConfig(samples=10**4, seed=1)
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+# every public callable that takes a time t, at t = 0.1 (ct = 0.5) otherwise
+TIME_TAKERS = {
+    "singular_weight": lambda t: singular_weight(t, P),
+    "ac_density": lambda t: ac_density(0.1, t, P),
+    "density_at": lambda t: density_at(Vec3(0.1, 0.0, 0.0), t, P),
+    "ball_prob_asymptotic": lambda t: ball_prob_asymptotic(0.1, t, P),
+    "g_exact": lambda t: g_exact(t, P),
+    "g_tilde": lambda t: g_tilde(t, P),
+    "switch_tail_error": lambda t: switch_tail_error(t, P),
+    "radial_profile": lambda t: radial_profile(t, P, 5, 0.1),
+    "FreqQuery": lambda t: FreqQuery(1.0, t),
+    "sample_positions": lambda t: sample_positions(t, P, 10, rng()),
+    "sample_positions_given_n": lambda t: sample_positions_given_n(1, t, P, 10, rng()),
+    "estimate_cf": lambda t: estimate_cf(2.0, t, P, CFG),
+    "estimate_ball_prob": lambda t: estimate_ball_prob(0.1, t, P, CFG),
+    "radial_histogram": lambda t: radial_histogram(t, P, CFG, bins=4),
+    "integrate_ac_density": lambda t: integrate_ac_density(t, P),
+    "integrate_ac_density_ball": lambda t: integrate_ac_density_ball(0.1, t, P),
+    "run_suite": lambda t: run_suite(P, (t,), quick=True),
+}
+
+# every public callable that takes a radius, with its name for the radius
+RADIUS_TAKERS = {
+    "ac_density": (lambda r: ac_density(r, 0.1, P), "r"),
+    "ball_prob_asymptotic": (lambda r: ball_prob_asymptotic(r, 0.1, P), "r"),
+    "radial_profile": (lambda r: radial_profile(0.1, P, 5, r), "r_max"),
+    "estimate_ball_prob": (lambda r: estimate_ball_prob(r, 0.1, P, CFG), "r"),
+    "integrate_ac_density_ball": (lambda r: integrate_ac_density_ball(r, 0.1, P), "r"),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(TIME_TAKERS))
+def test_time_domain(name, t):
+    message = re.escape(f"t must be finite and > 0, got {t}")
+    with pytest.raises(DomainError, match=message) as info:
+        TIME_TAKERS[name](t)
+    assert isinstance(info.value, NonFinite) == (not math.isfinite(t))
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(RADIUS_TAKERS))
+def test_radius_domain(name, r):
+    call, arg = RADIUS_TAKERS[name]
+    message = re.escape(f"{arg} must be finite and >= 0, got {r}")
+    with pytest.raises(DomainError, match=message) as info:
+        call(r)
+    assert isinstance(info.value, NonFinite) == (not math.isfinite(r))
+

@@ -147,6 +147,18 @@ class TestIntegrateAcDensity:
             assert abs(got - exact) <= 2e-12 * max(1.0, exact), term
 
 
+@pytest.mark.parametrize("integrate,exact", [
+    (lambda p, t: integrate_ac_density(t, p), lambda p, t: g_tilde(t, p)),
+    (lambda p, t: integrate_ac_density_ball(0.999 * p.c * t, t, p),
+     lambda p, t: ball_prob_asymptotic(0.999 * p.c * t, t, p)),
+], ids=["whole_ball", "subball"])
+def test_tol_bounds_the_value_at_large_lambda_t(integrate, exact):
+    # at lam t = 600 the value is ~1e-254 while the bare const bracket is
+    # 3.6e7: a tol on each bare bracket raised QuadratureNotConverged
+    p = FlightParams(c=5.0, lam=20.0)
+    assert integrate(p, 30.0) == pytest.approx(exact(p, 30.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("integrate", [
     lambda tol: integrate_ac_density(0.1, P, tol=tol),
