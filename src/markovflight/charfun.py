@@ -2,26 +2,26 @@
 
 H_n is the characteristic function of X(t) conditioned on exactly n direction
 switches; by isotropy each is a real radial function of x = c*t*||alpha||.
-H_0 and H_1 have elementary closed forms, H_2 and H_3 are Bessel series, and
-`h_asymptotic` combines the leading pieces of all four into the small-time
-approximation of the unconditional characteristic function, accurate to
-o(t^3) at fixed frequency.
+H_0 and H_1 have elementary closed forms, H_2 and H_3 are Bessel series.
+`h_asymptotic`, the small-time approximation of the unconditional one, is the
+Poisson mixture sum_{n<=3} P{N(t)=n} times a fixed function of x: H_0, H_1
+and the leading Bessel terms of H_2 and H_3.  It is o(t^3) at fixed frequency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import TruncationNotConverged
-from .model import FlightParams, check_radius, check_time
+from .errors import NonFinite, TruncationNotConverged
+from .model import FlightParams, check_radius, check_time, switch_weights
 from .specfun import bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
 from .arctan_series import quartic_gamma
 
 __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 
-# Below this value of x = c*t*||alpha|| each H_n is within x^2/6 < 2e-17 of 1,
-# and h_asymptotic's Bessel pieces as close to 1/2 and 1/6, so all of them
-# round to those constants; the direct forms are 0/0 at x = 0.
+# Below this value of x = c*t*||alpha|| each H_n and each leading Bessel term
+# is within x^2/6 < 2e-17 of 1, so all of them round to 1; the direct forms
+# are 0/0 at x = 0.
 _SMALL_X = 1e-8
 
 # The Bessel series stop at the first term below _TAIL_TOL past the peak of
@@ -50,7 +50,10 @@ class FreqQuery:
 
 
 def _x(q: FreqQuery, p: FlightParams) -> float:
-    return p.c * q.t * q.alpha_norm
+    x = p.c * q.t * q.alpha_norm
+    if x == math.inf:
+        raise NonFinite(f"x = c t ||alpha|| overflows at t={q.t}, alpha_norm={q.alpha_norm}")
+    return x
 
 
 def h0(q: FreqQuery, p: FlightParams) -> float:
@@ -127,22 +130,22 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
     ))
 
 
+def _leads(x: float) -> tuple:
+    """Leading Bessel terms L_2 = 2 J_1(x)/x of H_2 and L_3 = 6 sqrt(pi) (2x)^(-3/2) J_{3/2}(x)
+    of H_3, each 1 at x = 0."""
+    if x < _SMALL_X:
+        return 1.0, 1.0
+    return 2.0 * bessel_j(1, x) / x, 6.0 * _SQRT_PI * (2.0 * x) ** -1.5 * bessel_j(1.5, x)
+
+
 def h_asymptotic(q: FreqQuery, p: FlightParams) -> float:
     """Small-time approximation of the unconditional characteristic function.
 
-    e^(-lam t) [ H_0 + (lam t) H_1 + (lam t)^2 J_1(x)/x
-                 + (lam t)^3 sqrt(pi)/(2x)^(3/2) J_{3/2}(x) ]
-
-    The last two pieces are the leading Bessel terms of H_2 and H_3, so the
-    whole expression deviates from the exact four-term conditional expansion
-    by o(t^3) at fixed ||alpha||.  At zero
-    frequency the value is exactly e^(-lam t)(1 + lt + lt^2/2 + lt^3/6).
+    P0 H_0 + P1 H_1 + P2 L_2 + P3 L_3 with Pn = P{N(t)=n} and L_2, L_3 the
+    leading Bessel terms of H_2 and H_3 (`_leads`).  It deviates from the exact
+    mixture sum_{n<=3} Pn H_n by o(t^3) at fixed ||alpha||; at zero frequency
+    every shape is 1 and the value is P{N(t) <= 3}.
     """
-    x = _x(q, p)
-    lt = p.lam * q.t
-    if x < _SMALL_X:
-        g2, g3 = 0.5, 1.0 / 6.0
-    else:
-        g2 = bessel_j(1, x) / x
-        g3 = _SQRT_PI / (2.0 * x) ** 1.5 * bessel_j(1.5, x)
-    return math.exp(-lt) * (h0(q, p) + lt * h1(q, p) + lt * lt * g2 + lt**3 * g3)
+    w0, w1, w2, w3, _ = switch_weights(q.t, p)
+    l2, l3 = _leads(_x(q, p))
+    return math.fsum((w0 * h0(q, p), w1 * h1(q, p), w2 * l2, w3 * l3))

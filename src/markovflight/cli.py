@@ -57,13 +57,12 @@ def _cmd_gcurves(args) -> int:
     if args.points < 1:
         raise DomainError(f"points must be >= 1, got {args.points}")
     rows = ["lambda,t,g_exact,g_tilde,gap"]
+    masses = (density.g_exact, density.g_tilde, density.switch_tail_error)
     for lam in lams:
         p = FlightParams(c=args.c, lam=lam)
         for i in range(1, args.points + 1):
             t = args.tmin + (args.tmax - args.tmin) * i / args.points
-            ge = density.g_exact(t, p)
-            gt = density.g_tilde(t, p)
-            rows.append(f"{_fmt(lam)},{_fmt(t)},{_fmt(ge)},{_fmt(gt)},{_fmt(ge - gt)}")
+            rows.append(",".join(map(_fmt, [lam, t] + [f(t, p) for f in masses])))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 

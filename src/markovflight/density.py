@@ -1,11 +1,11 @@
 """Small-time transition density, subball probabilities and accuracy curves.
 
-The position law at time t splits into an atom of mass e^(-lam t) on the
-sphere r = ct and an absolutely continuous part inside the open ball.  The
-a.c. part admits a three-term small-time approximation whose radial integrals
-have elementary closed forms; those integrals give the accuracy functions
-G (exact a.c. mass) and G-tilde (mass of the approximation), whose gap is
-exactly the Poisson tail Pr{N(t) >= 4}.
+The position law at time t splits into an atom of mass P{N(t)=0} on the sphere
+r = ct and an absolutely continuous part inside the open ball, approximated by
+the Poisson mixture sum_{n=1..3} P{N(t)=n} times a fixed radial shape in
+rho = r/ct, with the weights of `model.switch_weights`.  The shapes integrate
+in closed form to the subball probabilities and to G-tilde = P{1 <= N <= 3},
+whose gap to the exact a.c. mass G = P{N >= 1} is the tail P{N(t) >= 4}.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DensityValue, FlightParams, Vec3, check_radius, check_time
+from .model import DensityValue, FlightParams, Vec3, check_radius, check_time, switch_weights
 
 __all__ = [
     "RadialProfile",
@@ -40,35 +40,38 @@ class RadialProfile:
 
 
 def singular_weight(t: float, p: FlightParams) -> float:
-    """Mass e^(-lam t) of the sphere atom (no switch up to time t)."""
-    check_time(t)
-    return math.exp(-p.lam * t)
+    """Mass P{N(t)=0} = e^(-lam t) of the sphere atom (no switch up to time t)."""
+    return switch_weights(t, p)[0]
 
 
 def ac_density(r: float, t: float, p: FlightParams) -> float:
     """Absolutely continuous density at radius r, small-time approximation.
 
-    e^(-lam t) [ lam/(4 pi c^2 t r) * ln((ct+r)/(ct-r))
-                 + lam^2/(2 pi^2 c^2 sqrt(c^2 t^2 - r^2))
-                 + lam^3/(8 pi c^3) ]          for r < ct,
+    [ P1 ln((1+rho)/(1-rho))/(4 pi rho) + P2/(pi^2 sqrt(1-rho^2)) + P3 3/(4 pi) ] / (ct)^3
 
-    and 0 for r >= ct (the boundary itself reports 0; the blow-up is only
-    approached from inside).  The log term has a removable 0/0 at r = 0 with
-    limit lam/(2 pi c^3 t^2), switched to below r = 1e-9 ct.
+    with rho = r/ct and Pn = P{N(t)=n}, for r < ct, and 0 for r >= ct (the
+    blow-up is only approached from inside).  The log shape has a removable
+    0/0 at r = 0 with limit 1/(2 pi), switched to below r = 1e-9 ct.  Raises
+    DomainError where the value leaves the float range (r = 0, t = 1e-300).
     """
-    check_time(t)
+    _, w1, w2, w3, _ = switch_weights(t, p)
     check_radius(r)
     ct = p.c * t
+    if ct == 0.0:
+        raise DomainError(f"ct underflows to 0 at c={p.c}, t={t}")
     if r >= ct:
         return 0.0
-    if r < 1e-9 * ct:
-        log_part = p.lam / (2.0 * math.pi * p.c**3 * t * t)
+    if r <= 1e-9 * ct:
+        log_shape = 1.0 / (2.0 * math.pi)
     else:
         # log((ct+r)/(ct-r)) as log1p: the quotient rounds away digits near r = 0
-        log_part = p.lam / (4.0 * math.pi * p.c**2 * t * r) * math.log1p(2.0 * r / (ct - r))
-    sqrt_part = p.lam**2 / (2.0 * math.pi**2 * p.c**2 * math.sqrt(ct * ct - r * r))
-    const_part = p.lam**3 / (8.0 * math.pi * p.c**3)
-    return math.exp(-p.lam * t) * (log_part + sqrt_part + const_part)
+        log_shape = ct * math.log1p(2.0 * r / (ct - r)) / (4.0 * math.pi * r)
+    # sqrt(1 - rho^2) from ct - r, which is exact as r -> ct, and ct + r
+    sqrt_shape = ct / (math.pi**2 * math.sqrt(ct - r) * math.sqrt(ct + r))
+    value = math.fsum((w1 * log_shape, w2 * sqrt_shape, w3 * 0.75 / math.pi)) / ct / ct / ct
+    if not math.isfinite(value):
+        raise DomainError(f"the density at r={r}, t={t} is outside the float range")
+    return value
 
 
 def density_at(x: Vec3, t: float, p: FlightParams) -> DensityValue:
@@ -89,14 +92,13 @@ _SMALL_RATIO = 0.25
 def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     """Probability that the position lies in the ball of radius r < ct.
 
-    e^(-lam t) [ lam t (rho - (1 - rho^2) artanh(rho))
-                 + (lam^2 t^2/pi)(arcsin(rho) - rho sqrt(1 - rho^2))
-                 + lam^3 r^3/(6 c^3) ]          with rho = r/ct,
+    P1 [rho - (1 - rho^2) artanh(rho)] + P2 (2/pi) [arcsin(rho) - rho sqrt(1 - rho^2)]
+    + P3 rho^3          with rho = r/ct and Pn = P{N(t)=n},
 
-    the integral of 4 pi s^2 ac_density(s) over [0, r].  As r -> ct the value
-    tends to g_tilde(t): the first bracket reaches 1 and the arcsin pi/2.
+    the integral of 4 pi s^2 ac_density(s) over [0, r].  As r -> ct each
+    bracket, the mass of its shape inside r, tends to 1 and the sum to g_tilde.
     """
-    check_time(t)
+    _, w1, w2, w3, _ = switch_weights(t, p)
     ct = p.c * t
     check_radius(r, ct)
     if r == 0.0:
@@ -114,36 +116,25 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
         # 1 -+ rho taken as (ct -+ r)/ct, which stays exact as r -> ct
         log_part = ratio - (ct - r) * (ct + r) / (2.0 * ct * ct) * math.log((ct + r) / (ct - r))
         arc = math.asin(ratio) - ratio * math.sqrt(1.0 - ratio * ratio)
-    lt = p.lam * t
-    return math.exp(-lt) * (
-        lt * log_part + lt * lt / math.pi * arc + p.lam**3 * r**3 / (6.0 * p.c**3)
-    )
+    return math.fsum((w1 * log_part, w2 * 2.0 / math.pi * arc, w3 * ratio * ratio * ratio))
 
 
 def g_exact(t: float, p: FlightParams) -> float:
-    """Exact mass of the absolutely continuous part, 1 - e^(-lam t)."""
+    """Exact mass of the absolutely continuous part, 1 - e^(-lam t) = P{N(t) >= 1}."""
     check_time(t)
-    return 1.0 - math.exp(-p.lam * t)
+    return -math.expm1(-p.lam * t)
 
 
 def g_tilde(t: float, p: FlightParams) -> float:
-    """Mass of the three-term density approximation,
-    e^(-lam t)(lam t + (lam t)^2/2 + (lam t)^3/6); never exceeds g_exact."""
-    check_time(t)
-    lt = p.lam * t
-    return math.exp(-lt) * (lt + lt * lt / 2.0 + lt**3 / 6.0)
+    """Mass P{1 <= N(t) <= 3} of the three-term density; never exceeds g_exact."""
+    _, w1, w2, w3, _ = switch_weights(t, p)
+    return w1 + w2 + w3
 
 
 def switch_tail_error(t: float, p: FlightParams) -> float:
-    """Poisson tail Pr{N(t) >= 4} = 1 - e^(-lam t) sum_{k<=3} (lam t)^k / k!.
-
-    Identically equal to g_exact - g_tilde: the approximation accounts for
-    paths with at most three switches, so its mass deficit is exactly the
-    probability of four or more.
-    """
-    check_time(t)
-    lt = p.lam * t
-    return 1.0 - math.exp(-lt) * (1.0 + lt + lt * lt / 2.0 + lt**3 / 6.0)
+    """Poisson tail P{N(t) >= 4}, exact at every lam t: the mass g_exact - g_tilde
+    of the paths with four switches or more, which the approximation leaves out."""
+    return switch_weights(t, p)[4]
 
 
 def radial_profile(t: float, p: FlightParams, n_points: int, r_max: float) -> RadialProfile:

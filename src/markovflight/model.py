@@ -1,5 +1,5 @@
-"""Shared parameter and result types with their invariants, and the input
-domain of every function of time and radius; no algorithms."""
+"""Shared parameter and result types with their invariants, the input domain
+of every function of time and radius, and the Poisson weights of the switch count."""
 from __future__ import annotations
 
 import math
@@ -23,6 +23,29 @@ def check_time(t: float) -> None:
     if not 0.0 < t < math.inf:
         error = DomainError if math.isfinite(t) else NonFinite
         raise error(f"t must be finite and > 0, got {t}")
+
+
+def switch_weights(t: float, p: FlightParams) -> tuple:
+    """(P{N=0}, ..., P{N=3}, P{N>=4}) for the switch count N(t) ~ Poisson(lam t).
+
+    Each weight is the last times lam t / n, so no power of lam t is formed.  Below
+    lam t = 1 the tail is summed on by the same recurrence; from there up it is at
+    least 0.019, and 1 - sum P{N=n} keeps its digits."""
+    check_time(t)
+    lt = p.lam * t
+    if lt == math.inf:
+        return 0.0, 0.0, 0.0, 0.0, 1.0
+    weights = [math.exp(-lt)]
+    for n in (1, 2, 3):
+        weights.append(weights[-1] * lt / n)
+    if lt >= 1.0:
+        return (*weights, 1.0 - math.fsum(weights))
+    tail, term, n = 0.0, weights[3], 3
+    while term > tail * 1e-17:
+        n += 1
+        term = term * lt / n
+        tail += term
+    return (*weights, tail)
 
 
 def check_radius(r: float, ct: float = math.inf, name: str = "r") -> None:

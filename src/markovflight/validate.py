@@ -23,7 +23,7 @@ from scipy import special
 
 from . import arctan_series, charfun, density, montecarlo, specfun
 from .errors import DomainError, QuadratureNotConverged
-from .model import FlightParams, McConfig, check_radius, check_time
+from .model import FlightParams, McConfig, check_radius, check_time, switch_weights
 
 __all__ = [
     "CheckReport",
@@ -303,19 +303,13 @@ def _decay(p: FlightParams, power: int) -> tuple:
     # the (lam t)^k/k! H_k term collapses onto its leading Bessel term as
     # t -> 0 at fixed frequency; the gap over t^3 must itself shrink
     alpha = 2.0
+    series = charfun.h2_series if power == 2 else charfun.h3_series
     ratios = []
     for t in (0.1, 0.05, 0.025, 0.0125):
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
-        x = p.c * t * alpha
-        lt = p.lam * t
-        if power == 2:
-            exact = lt * lt / 2.0 * charfun.h2_series(q, p)
-            lead = lt * lt * specfun.bessel_j(1.0, x) / x
-            ratios.append(abs(exact - lead) / t**3)
-        else:
-            exact = lt**3 / 6.0 * charfun.h3_series(q, p)
-            lead = lt**3 * math.sqrt(math.pi) / (2.0 * x) ** 1.5 * specfun.bessel_j(1.5, x)
-            ratios.append(abs(exact - lead) / t**4)
+        scale = (p.lam * t) ** power / math.factorial(power)
+        lead = charfun._leads(p.c * t * alpha)[power - 2]
+        ratios.append(abs(scale * series(q, p) - scale * lead) / t ** (power + 1))
     return (
         ratios[-1] / ratios[0], 0.0, 0.2,
         f"normalized gaps {['%.3g' % r for r in ratios]}",
@@ -323,16 +317,12 @@ def _decay(p: FlightParams, power: int) -> tuple:
 
 
 def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
+    weights = switch_weights(t, p)
+    hs = (charfun.h0, charfun.h1, charfun.h2_series, charfun.h3_series)
     worst = 0.0
     for alpha in (0.3, 0.5, 1.0, 2.0, 3.0):
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
-        lt = p.lam * t
-        exact = math.exp(-lt) * (
-            charfun.h0(q, p)
-            + lt * charfun.h1(q, p)
-            + lt * lt / 2.0 * charfun.h2_series(q, p)
-            + lt**3 / 6.0 * charfun.h3_series(q, p)
-        )
+        exact = math.fsum(w * h(q, p) for w, h in zip(weights, hs))
         worst = max(worst, abs(charfun.h_asymptotic(q, p) - exact))
     return worst, 0.0, 5.0 * t**3
 

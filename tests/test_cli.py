@@ -106,6 +106,15 @@ class TestGcurves:
             ge, gt, gap = float(row[2]), float(row[3]), float(row[4])
             assert abs(gap - (ge - gt)) <= 1e-15
 
+    def test_gap_never_negative_at_small_lambda_t(self, capsys):
+        # g_exact - g_tilde printed -1.08e-17 and -3.45e-17 here
+        _, out, _ = run_cli(
+            ["gcurves", "--lambda", "1", "--tmin", "0", "--tmax", "4e-5", "--points", "4"], capsys
+        )
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert all(float(row[4]) >= 0.0 for row in rows)
+
     def test_window_value(self, capsys):
         # t = 0.7 falls exactly on the default grid; gap there is the
         # Poisson tail Pr{N >= 4} at intensity 0.7

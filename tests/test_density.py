@@ -10,6 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from markovflight import (
@@ -26,6 +27,7 @@ from markovflight import (
     switch_tail_error,
 )
 from markovflight.errors import DomainError, RadiusOutsideBall
+from markovflight.model import switch_weights
 
 P = FlightParams(c=5.0, lam=2.0)
 T = 0.1
@@ -83,12 +85,13 @@ class TestAcDensity:
 
     def test_blow_up_near_boundary(self):
         # the inverse-square-root term dominates: the value passes 1e3 only
-        # around ct(1 - 1e-10), not at ct(1 - 1e-8)
+        # around ct(1 - 1e-10), not at ct(1 - 1e-8); the pins are mpmath's
+        # values at ct = 0.5 and lam t = 0.2, 50 digits
         assert ac_density(CT * (1.0 - 1e-8), T, P) == pytest.approx(
-            95.847195003298637, rel=1e-10
+            95.847194977436859, rel=1e-14
         )
         assert ac_density(CT * (1.0 - 1e-12), T, P) == pytest.approx(
-            9388.3192727263959, rel=1e-8
+            9388.3192727287438, rel=1e-14
         )
         assert ac_density(CT * (1.0 - 1e-12), T, P) > 1e3
 
@@ -171,7 +174,24 @@ class TestBallProbAsymptotic:
 
 class TestAccuracyFunctions:
     def test_g_exact(self):
-        assert g_exact(T, P) == 1.0 - math.exp(-0.2)
+        # 1 - e^(-0.2) in mpmath at 50 digits
+        assert g_exact(T, P) == pytest.approx(0.18126924692201815, rel=1e-14)
+
+    @pytest.mark.parametrize("lt", [1e-12, 1e-8, 1e-5, 1e-4, 1e-2, 0.2, 1.0, 3.0, 20.0, 700.0])
+    def test_against_mpmath(self, lt):
+        # every weight, the tail and both masses to 1e-14 relative, at the
+        # small lam t where 1 - sum P{N=n} and 1 - e^(-lam t) cancel to nothing
+        pp = FlightParams(c=5.0, lam=1.0)
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(lt)
+            pmf = [mpmath.exp(-mu) * mu**n / mpmath.factorial(n) for n in range(4)]
+            tail = mpmath.gammainc(4, 0, mu, regularized=True)
+            want = pmf + [tail, -mpmath.expm1(-mu), sum(pmf[1:]), tail]
+            got = [*switch_weights(lt, pp), g_exact(lt, pp), g_tilde(lt, pp),
+                   switch_tail_error(lt, pp)]
+            for g, w in zip(got, want, strict=True):
+                assert abs(g - w) <= 1e-14 * w
+        assert switch_tail_error(lt, pp) >= 0.0
 
     def test_g_tilde_frozen(self):
         assert g_tilde(T, P) == pytest.approx(0.18121240668125999, rel=1e-15)
@@ -226,6 +246,18 @@ class TestRadialProfile:
     def test_point_count(self):
         with pytest.raises(DomainError):
             radial_profile(T, P, 1, 0.4)
+
+
+@settings(derandomize=True, deadline=None)
+@given(lam=st.floats(1e-300, 1e300), t=st.floats(1e-300, 1e300))
+def test_switch_weights_form_a_distribution(lam, t):
+    # lam t runs from underflow to overflow; neither end is filtered out
+    pp = FlightParams(c=5.0, lam=lam)
+    weights = switch_weights(t, pp)
+    assert all(0.0 <= w <= 1.0 for w in weights)
+    assert abs(math.fsum(weights) - 1.0) <= 4 * math.ulp(1.0)
+    assert switch_tail_error(t, pp) >= 0.0
+    assert abs(g_exact(t, pp) - g_tilde(t, pp) - switch_tail_error(t, pp)) <= 1e-15
 
 
 # a NaN or infinite time or radius is outside every function's domain: each

@@ -10,6 +10,7 @@ from markovflight import (
     DensityValue,
     FlightParams,
     FreqQuery,
+    MarkovFlightError,
     McConfig,
     McEstimate,
     NonFinite,
@@ -23,6 +24,8 @@ from markovflight import (
     estimate_cf,
     g_exact,
     g_tilde,
+    h0,
+    h_asymptotic,
     integrate_ac_density,
     integrate_ac_density_ball,
     radial_histogram,
@@ -170,3 +173,39 @@ def test_radius_domain(name, r):
         call(r)
     assert isinstance(info.value, NonFinite) == (not math.isfinite(r))
 
+
+HUGE_LAM = FlightParams(c=5.0, lam=1e300)
+
+# extreme scales inside the time and radius rule, each with the value it
+# returns or the error it raises: they leaked OverflowError from (lam t)^3,
+# ZeroDivisionError, math.sin's ValueError, NaN where lam t overflows, or a
+# density of 0.0 where ct underflows to 0; the CF at x = 5e307 is below 1e-300
+EXTREMES = {
+    "g_tilde_lam_1e300": (lambda: g_tilde(1.0, HUGE_LAM), 0.0),
+    "ac_density_lam_1e300": (lambda: ac_density(0.1, 1.0, HUGE_LAM), 0.0),
+    "ball_prob_lam_1e300": (lambda: ball_prob_asymptotic(0.1, 1.0, HUGE_LAM), 0.0),
+    "h_asymptotic_lam_1e300": (lambda: h_asymptotic(FreqQuery(1.0, 1.0), HUGE_LAM), 0.0),
+    "h_asymptotic_x_5e307": (lambda: h_asymptotic(FreqQuery(1e307, 1.0), P), 0.0),
+    "g_tilde_lam_t_inf": (lambda: g_tilde(1e300, HUGE_LAM), 0.0),
+    "switch_tail_lam_t_inf": (lambda: switch_tail_error(1e300, HUGE_LAM), 1.0),
+    "ac_density_t_1e-300": (lambda: ac_density(0.0, 1e-300, P), (DomainError, "t=1e-300")),
+    "ac_density_ct_subnormal": (
+        lambda: ac_density(0.0, 1e-160, FlightParams(1e-160, 2.0)), (DomainError, "t=1e-160"),
+    ),
+    "ac_density_ct_zero": (
+        lambda: ac_density(0.0, 1e-300, FlightParams(1e-30, 2.0)), (DomainError, "underflows"),
+    ),
+    "h0_x_inf": (lambda: h0(FreqQuery(1e308, 1.0), P), (NonFinite, "overflows")),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREMES))
+def test_extreme_scales(name):
+    call, want = EXTREMES[name]
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=want[1]) as info:
+            call()
+        assert isinstance(info.value, MarkovFlightError)
+    else:
+        got = call()
+        assert math.isfinite(got) and got == pytest.approx(want, abs=1e-300)
