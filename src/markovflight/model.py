@@ -28,16 +28,20 @@ def check_time(t: float) -> None:
 def switch_weights(t: float, p: FlightParams) -> tuple:
     """(P{N=0}, ..., P{N=3}, P{N>=4}) for the switch count N(t) ~ Poisson(lam t).
 
-    Each weight is the last times lam t / n, so no power of lam t is formed.  Below
-    lam t = 1 the tail is summed on by the same recurrence; from there up it is at
-    least 0.019, and 1 - sum P{N=n} keeps its digits."""
+    Each weight is the last times lam t / n, so no power of lam t is formed.  Above
+    lam t = 700, where e^(-lam t) nears the subnormals, the recurrence runs on
+    e^(-lam t / 2) and each weight takes the other half at the end.  Below lam t = 1
+    the tail is summed on by the same recurrence; from there up it is at least
+    0.019, and 1 - sum P{N=n} keeps its digits."""
     check_time(t)
     lt = p.lam * t
     if lt == math.inf:
         return 0.0, 0.0, 0.0, 0.0, 1.0
-    weights = [math.exp(-lt)]
+    half = 0.5 * lt if lt > 700.0 else 0.0
+    weights = [math.exp(half - lt)]
     for n in (1, 2, 3):
         weights.append(weights[-1] * lt / n)
+    weights = [w * math.exp(-half) for w in weights]
     if lt >= 1.0:
         return (*weights, 1.0 - math.fsum(weights))
     tail, term, n = 0.0, weights[3], 3
@@ -115,8 +119,9 @@ class DensityValue:
     ac_value: float
 
     def __post_init__(self):
-        if not 0.0 < self.atom_mass < 1.0:
-            raise DomainError(f"atom_mass must lie in (0,1), got {self.atom_mass}")
+        # closed: e^(-lam t) rounds to 1 for tiny lam t and to 0 for large
+        if not 0.0 <= self.atom_mass <= 1.0:
+            raise DomainError(f"atom_mass must lie in [0,1], got {self.atom_mass}")
         if self.ac_value < 0:
             raise DomainError("ac_value must be nonnegative")
 

@@ -7,7 +7,9 @@ switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  The
 batch samplers draw exactly that many segments per path, laid end to end in
 one flat array, and add each path's segments with np.add.reduceat, one block
-of whole paths at a time.
+of whole paths at a time.  Longitudes and characteristic-function terms get
+their cosine and sine from one vectorised tan by the half-angle identities
+(`_cos_sin`), within 2.6e-16 of the exact values.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
@@ -24,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFinite
 from .model import FlightParams, McConfig, McEstimate, check_radius, check_time
 
 __all__ = [
@@ -68,12 +70,29 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def _check_inputs(alpha_norm: float = 0.0, workers: Optional[int] = None) -> None:
-    """Raise DomainError unless alpha_norm is finite and workers None or >= 1."""
-    if not math.isfinite(alpha_norm):
-        raise DomainError(f"alpha_norm must be finite, got {alpha_norm}")
+def _check_workers(workers: Optional[int]) -> None:
+    """Raise DomainError unless workers is None or >= 1."""
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+
+
+def _cos_sin(a: np.ndarray) -> tuple:
+    """(cos a, sin a) from one tau = tan(a / 2) by the half-angle identities.
+
+    numpy runs float64 tan in SIMD where the CPU has it, but cos and sin in
+    scalar libm, so this costs a third of the pair; both are within 2.3e-16 of
+    libm and 2.6e-16 of the exact values.
+    """
+    tau = np.tan(0.5 * a)
+    d = 1.0 + tau * tau
+    return (1.0 - tau) * (1.0 + tau) / d, 2.0 * tau / d
+
+
+def _radii(pos: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, bit for bit np.linalg.norm(pos, axis=1)
+    by the same additions, without its strided reduction."""
+    x, y, z = pos.T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _unit_vectors(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -82,9 +101,10 @@ def _unit_vectors(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     With z uniform on [-1, 1] and phi uniform on [0, 2 pi) they are uniform.
     """
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    cos_phi, sin_phi = _cos_sin(phi)
     out = np.empty((len(z), 3))
-    np.multiply(s, np.cos(phi), out=out[:, 0])
-    np.multiply(s, np.sin(phi), out=out[:, 1])
+    np.multiply(s, cos_phi, out=out[:, 0])
+    np.multiply(s, sin_phi, out=out[:, 1])
     out[:, 2] = z
     return out
 
@@ -194,9 +214,7 @@ def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate
 
 
 def _cf_sums(pos: np.ndarray, alpha_norm: float) -> tuple:
-    proj = alpha_norm * pos[:, 0]
-    cos_v = np.cos(proj)
-    sin_v = np.sin(proj)
+    cos_v, sin_v = _cos_sin(alpha_norm * pos[:, 0])
     return np.sum(cos_v), np.sum(cos_v * cos_v), np.sum(sin_v), np.sum(sin_v * sin_v)
 
 
@@ -209,14 +227,13 @@ def _cf_estimate(parts, n: int) -> CfEstimate:
 
 
 def _ball_hits(pos: np.ndarray, r: float) -> float:
-    return float(np.sum(np.linalg.norm(pos, axis=1) <= r))
+    return float(np.sum(_radii(pos) <= r))
 
 
 def _radial_counts(pos: np.ndarray, counts, edges: np.ndarray) -> tuple:
     # no-switch rows are the sphere atom; conditional draws (counts None) have none
-    interior = np.ones(len(pos), dtype=bool) if counts is None else counts > 0
-    radii = np.linalg.norm(pos[interior], axis=1)
-    atom = len(pos) - int(np.count_nonzero(interior))
+    radii = _radii(pos) if counts is None else _radii(pos)[counts > 0]
+    atom = len(pos) - len(radii)
     # array edges: numpy 2.4's sort-free uniform-bin path measured 2-4x slower
     hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1]), bins=edges)
     return hist.astype(float), atom
@@ -245,7 +262,10 @@ def estimate_cf(
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
     check_time(t)
-    _check_inputs(alpha_norm, workers)
+    _check_workers(workers)
+    if not math.isfinite(p.c * t * alpha_norm):
+        # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
+        raise NonFinite(f"x = c t ||alpha|| must be finite, got alpha_norm={alpha_norm}, t={t}")
     parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), condition, workers)
     return _cf_estimate(parts, cfg.samples)
 
@@ -256,7 +276,7 @@ def estimate_ball_prob(
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
     check_time(t)
     check_radius(r)
-    _check_inputs(workers=workers)
+    _check_workers(workers)
     if r >= p.c * t:
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
@@ -280,7 +300,7 @@ def radial_histogram(
     count, so masses.sum() + atom_fraction == 1 exactly.
     """
     check_time(t)
-    _check_inputs(workers=workers)
+    _check_workers(workers)
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, p.c * t, bins + 1)

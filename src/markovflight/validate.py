@@ -455,7 +455,7 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
          lambda pos, ns: montecarlo._radial_counts(pos, ns, edges), atom),
         (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r), ball),
         (f"mc_support_t{t:g}",
-         lambda pos, _: float(np.linalg.norm(pos, axis=1).max()) / ct, support),
+         lambda pos, _: float(montecarlo._radii(pos).max()) / ct, support),
         (f"mc_switch_chisquare_t{t:g}", lumped, chisq),
         (f"mc_mean_position_t{t:g}",
          lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),

@@ -120,6 +120,13 @@ class TestDensityAt:
         assert d.atom_mass == singular_weight(T, P)
         assert d.ac_value == ac_density(Vec3(0.1, 0.2, 0.0).norm(), T, P)
 
+    @pytest.mark.parametrize("t, mass", [(1e-20, 1.0), (400.0, 0.0)])
+    def test_atom_mass_rounds_to_an_end(self, t, mass):
+        # e^(-lam t) is 1.0 at lam t = 2e-20 and 0.0 at 800
+        d = density_at(Vec3(0.0, 0.0, 0.0), t, P)
+        assert d.atom_mass == mass
+        assert d.ac_value >= 0.0 and math.isfinite(d.ac_value)
+
 
 class TestBallProbAsymptotic:
     @pytest.mark.parametrize("ratio", [0.05, 0.2, 0.5, 0.8, 0.95])
@@ -177,10 +184,13 @@ class TestAccuracyFunctions:
         # 1 - e^(-0.2) in mpmath at 50 digits
         assert g_exact(T, P) == pytest.approx(0.18126924692201815, rel=1e-14)
 
-    @pytest.mark.parametrize("lt", [1e-12, 1e-8, 1e-5, 1e-4, 1e-2, 0.2, 1.0, 3.0, 20.0, 700.0])
+    @pytest.mark.parametrize("lt", [1e-12, 1e-8, 1e-5, 1e-4, 1e-2, 0.2, 1.0, 3.0, 20.0,
+                                    700.0, 710.0, 720.0, 730.0, 745.0])
     def test_against_mpmath(self, lt):
         # every weight, the tail and both masses to 1e-14 relative, at the
         # small lam t where 1 - sum P{N=n} and 1 - e^(-lam t) cancel to nothing
+        # and at the large lam t where e^(-lam t) is subnormal; a subnormal
+        # value keeps only its absolute rounding, half its last place
         pp = FlightParams(c=5.0, lam=1.0)
         with mpmath.workdps(50):
             mu = mpmath.mpf(lt)
@@ -190,7 +200,7 @@ class TestAccuracyFunctions:
             got = [*switch_weights(lt, pp), g_exact(lt, pp), g_tilde(lt, pp),
                    switch_tail_error(lt, pp)]
             for g, w in zip(got, want, strict=True):
-                assert abs(g - w) <= 1e-14 * w
+                assert abs(g - w) <= 1e-14 * w + mpmath.mpf(2) ** -1075
         assert switch_tail_error(lt, pp) >= 0.0
 
     def test_g_tilde_frozen(self):

@@ -88,7 +88,12 @@ class TestDensityValue:
         d = DensityValue(atom_radius=0.5, atom_mass=0.8, ac_value=0.2)
         assert d.atom_mass == 0.8
 
-    @pytest.mark.parametrize("mass", [0.0, 1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    def test_atom_mass_closed_interval(self, mass):
+        # e^(-lam t) rounds to 1 or 0 at extreme lam t
+        assert DensityValue(atom_radius=0.5, atom_mass=mass, ac_value=0.0).atom_mass == mass
+
+    @pytest.mark.parametrize("mass", [math.nan, 1.5, -0.1])
     def test_atom_mass_open_interval(self, mass):
         with pytest.raises(DomainError):
             DensityValue(atom_radius=0.5, atom_mass=mass, ac_value=0.0)

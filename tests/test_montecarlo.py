@@ -14,6 +14,7 @@ import os
 import threading
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -33,7 +34,7 @@ from markovflight import (
     substream,
 )
 from markovflight import montecarlo
-from markovflight.errors import DomainError
+from markovflight.errors import DomainError, NonFinite
 
 P = FlightParams(c=5.0, lam=2.0)
 T = 0.1
@@ -89,9 +90,61 @@ def whole_array_endpoints(counts, t, p, rng):
     z = rng.uniform(-1.0, 1.0, len(gaps))
     phi = rng.uniform(0.0, 2.0 * math.pi, len(gaps))
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    steps = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1) * gaps[:, None]
+    # the package's longitude factors, so the comparison checks the blocking bit for bit
+    cos_phi, sin_phi = montecarlo._cos_sin(phi)
+    steps = np.stack([s * cos_phi, s * sin_phi, z], axis=1) * gaps[:, None]
     scale = (p.c * t) / np.add.reduceat(gaps, starts)
     return np.add.reduceat(steps, starts, axis=0) * scale[:, None]
+
+
+def _angles(kind: str, size: int) -> np.ndarray:
+    rng = substream(SEED, 70)
+    if kind == "0,2pi":
+        return rng.uniform(0.0, 2.0 * math.pi, size)
+    if kind == "-3,3":
+        return rng.uniform(-3.0, 3.0, size)
+    # |a| log-uniform on [1e-300, 1e300], either sign
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+
+
+class TestCosSin:
+    """cos and sin by the half-angle identities on one tan."""
+
+    KINDS = ["0,2pi", "-3,3", "to1e300"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_libm(self, kind):
+        a = _angles(kind, 10**6)
+        cos_a, sin_a = montecarlo._cos_sin(a)
+        assert np.max(np.abs(cos_a - np.cos(a))) <= 4.5e-16
+        assert np.max(np.abs(sin_a - np.sin(a))) <= 4.5e-16
+
+    def test_against_mpmath(self):
+        a = np.concatenate([_angles(kind, 2000)[i::3] for i, kind in enumerate(self.KINDS)])
+        assert len(a) == 2000
+        cos_a, sin_a = montecarlo._cos_sin(a)
+        with mpmath.workdps(50):
+            for x, c, s in zip(a.tolist(), cos_a.tolist(), sin_a.tolist()):
+                assert abs(c - mpmath.cos(x)) <= 3e-16
+                assert abs(s - mpmath.sin(x)) <= 3e-16
+
+    def test_unit_vectors_have_norm_one(self):
+        rng = substream(SEED, 71)
+        z = rng.uniform(-1.0, 1.0, 10**6)
+        v = montecarlo._unit_vectors(z, rng.uniform(0.0, 2.0 * math.pi, 10**6))
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-15
+
+
+class TestRadii:
+    """_radii is np.linalg.norm(pos, axis=1) bit for bit."""
+
+    def test_sampler_output(self):
+        pos, _ = sample_positions(T_DENSE, P_DENSE, 100_000, substream(SEED, 72))
+        assert np.array_equal(montecarlo._radii(pos), np.linalg.norm(pos, axis=1))
+
+    def test_gaussian_rows(self):
+        pos = substream(SEED, 73).standard_normal((10**6, 3))
+        assert np.array_equal(montecarlo._radii(pos), np.linalg.norm(pos, axis=1))
 
 
 class TestSubstream:
@@ -364,6 +417,15 @@ class TestEstimateCf:
             estimate_cf(2.0, T, P, McConfig(samples=100, seed=SEED))
         with pytest.raises(DomainError):
             estimate_cf(2.0, T, P, McConfig(samples=100, seed=SEED), condition=1)
+
+    def test_overflowing_frequency_is_nonfinite(self):
+        # x = c t alpha = inf: no mean of cos(inf) exists, so no NaN comes back
+        with pytest.raises(NonFinite):
+            estimate_cf(1e308, 1.0, FlightParams(5.0, 2.0), McConfig(10_000, 1), workers=1)
+
+    def test_huge_finite_frequency(self):
+        est = estimate_cf(1e300, T, P, McConfig(10_000, 1), workers=1)
+        assert abs(est.real.mean) <= 1.0 and est.real.std_error > 0.0
 
     def test_partial_last_chunk(self):
         # sample count deliberately not a multiple of the chunk size
