@@ -2,7 +2,8 @@
 
 H_n is the characteristic function of X(t) conditioned on exactly n direction
 switches; by isotropy each is a real radial function of x = c*t*||alpha||.
-H_0 and H_1 have elementary closed forms, H_2 and H_3 are Bessel series.
+H_0 and H_1 have elementary closed forms, H_2 and H_3 are Bessel series summed by
+`specfun.sum_series` past their peak (k + 1 > x); they raise past x ~ 37.
 `h_asymptotic`, the small-time approximation of the unconditional one, is the
 Poisson mixture sum_{n<=3} P{N(t)=n} times a fixed function of x: H_0, H_1
 and the leading Bessel terms of H_2 and H_3.  It is o(t^3) at fixed frequency.
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonFinite, TruncationNotConverged
+from .errors import NonFinite
 from .model import FlightParams, check_radius, check_time, switch_weights
-from .specfun import bessel_j, hyp5f4_unit, log_gamma, neg_cin, si
+from .specfun import bessel_j, hyp5f4_unit, log_gamma, neg_cin, si, sum_series
 from .arctan_series import quartic_gamma
 
 __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
@@ -23,15 +24,6 @@ __all__ = ["FreqQuery", "h0", "h1", "h2_series", "h3_series", "h_asymptotic"]
 # is within x^2/6 < 2e-17 of 1, so all of them round to 1; the direct forms
 # are 0/0 at x = 0.
 _SMALL_X = 1e-8
-
-# The Bessel series stop at the first term below _TAIL_TOL past the peak of
-# the terms (k + 1 > x) and raise TruncationNotConverged after _MAX_TERMS
-# terms.  A larger budget would not widen their range: with 400 terms,
-# x = 200 and 300 give H_2 = 1e22 and 1e43 instead of raising.  The sum keeps about (largest term) * 2^-52 of
-# rounding error, so they also raise once that passes _ROUNDING_TOL (x > ~37).
-_MAX_TERMS = 200
-_TAIL_TOL = 1e-14
-_ROUNDING_TOL = 1e-13
 
 _LOG2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -76,39 +68,20 @@ def h1(q: FreqQuery, p: FlightParams) -> float:
     return (math.sin(x) * si(2.0 * x) + math.cos(x) * neg_cin(2.0 * x)) / (x * x)
 
 
-def _bessel_series(name: str, x: float, term) -> float:
-    """Sum term(k) for k = 0, 1, ... up to the first term below _TAIL_TOL
-    with k + 1 > x; before that the terms may still be growing."""
-    total = peak = 0.0
-    for k in range(_MAX_TERMS):
-        value = term(k)
-        peak = max(peak, abs(value))
-        if peak * 2.0**-52 > _ROUNDING_TOL:
-            raise TruncationNotConverged(f"{name} at x={x}: precision lost to terms of {peak:.3g}")
-        total += value
-        if abs(value) < _TAIL_TOL and k + 1 > x:
-            return total
-    raise TruncationNotConverged(
-        f"{name} at x={x}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}"
-    )
-
-
 def h2_series(q: FreqQuery, p: FlightParams) -> float:
     """Two-switch characteristic function as a Bessel series.
 
     H_2 = sum_k x^(k-1) / (2^(k-1) k! (2k+1)^2) * F(k) * J_{k+1}(x), where
-    F(k) is the terminating hypergeometric factor hyp5f4_unit(k).  Raises
-    TruncationNotConverged if the term budget runs out before the tail
-    tolerance is met.
+    F(k) is the terminating hypergeometric factor hyp5f4_unit(k).
     """
     x = _x(q, p)
     if x < _SMALL_X:
         return 1.0
     log_half_x = math.log(0.5 * x)
-    return _bessel_series("H2 series", x, lambda k: (
+    return sum_series(f"H2 series at x={x}", lambda k: (
         math.exp((k - 1) * log_half_x - log_gamma(k + 1.0)) / (2 * k + 1) ** 2
         * hyp5f4_unit(k) * bessel_j(k + 1, x)
-    ))
+    ), past=x)
 
 
 def h3_series(q: FreqQuery, p: FlightParams) -> float:
@@ -121,13 +94,13 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
     if x < _SMALL_X:
         return 1.0
     log_x = math.log(x)
-    return _bessel_series("H3 series", x, lambda k: (
+    return sum_series(f"H3 series at x={x}", lambda k: (
         3.0
         * math.pi**1.5
         * quartic_gamma(k)
         * math.exp((k - 1.5) * log_x - (k + 1.5) * _LOG2 - log_gamma(k + 2.0))
         * bessel_j(k + 1.5, x)
-    ))
+    ), past=x)
 
 
 def _leads(x: float) -> tuple:

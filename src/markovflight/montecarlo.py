@@ -70,12 +70,6 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def _check_workers(workers: Optional[int]) -> None:
-    """Raise DomainError unless workers is None or >= 1."""
-    if workers is not None and workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-
-
 def _cos_sin(a: np.ndarray) -> tuple:
     """(cos a, sin a) from one tau = tan(a / 2) by the half-angle identities.
 
@@ -168,8 +162,10 @@ def sample_positions(
 
 def _workers(workers: Optional[int] = None) -> int:
     """The thread count a Monte Carlo call uses: workers, or by default every
-    CPU this process may run on."""
+    CPU this process may run on.  Raises DomainError for workers < 1."""
     if workers is not None:
+        if workers < 1:
+            raise DomainError(f"workers must be >= 1, got {workers}")
         return workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -262,7 +258,7 @@ def estimate_cf(
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
     check_time(t)
-    _check_workers(workers)
+    workers = _workers(workers)
     if not math.isfinite(p.c * t * alpha_norm):
         # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
         raise NonFinite(f"x = c t ||alpha|| must be finite, got alpha_norm={alpha_norm}, t={t}")
@@ -276,7 +272,7 @@ def estimate_ball_prob(
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
     check_time(t)
     check_radius(r)
-    _check_workers(workers)
+    workers = _workers(workers)
     if r >= p.c * t:
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
@@ -300,7 +296,7 @@ def radial_histogram(
     count, so masses.sum() + atom_fraction == 1 exactly.
     """
     check_time(t)
-    _check_workers(workers)
+    workers = _workers(workers)
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, p.c * t, bins + 1)

@@ -377,6 +377,11 @@ def _ks_pvalue(d: float, n: int) -> float:
     return special.kolmogorov((rn + 0.12 + 0.11 / rn) * d)
 
 
+def _keyed(cfg: McConfig, n: int, samples: int) -> McConfig:
+    """The config of the stream given n switches: samples draws, seed cfg.seed + n."""
+    return McConfig(samples, (cfg.seed + n) % 2**64)
+
+
 def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
     """Cached getter for one pass over the (seed, chunk) stream at t: each
     fn(positions, counts) in stats sees every chunk once, and the getter gives
@@ -481,17 +486,13 @@ def _mixture(p: FlightParams, t0: float, cfg: McConfig, edges, cond_passes, radi
     mix = np.zeros(_BINS)
     var_mix = np.zeros(_BINS)
     sizes = []
+    radial = [lambda pos, _: montecarlo._radial_counts(pos, None, edges)]
     for n in range(1, n_hi + 1):
-        if n in cond_passes:
-            size = cfg.samples
-            masses = montecarlo._radial_histogram(edges, cond_passes[n]()[-1], size).masses
-        else:
-            size = min(
-                cfg.samples,
-                max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3])),
-            )
-            cond_cfg = McConfig(samples=size, seed=(cfg.seed + n) % 2**64)
-            masses = montecarlo.radial_histogram(t0, p, cond_cfg, bins=_BINS, condition=n).masses
+        size = cfg.samples if n in cond_passes else min(
+            cfg.samples, max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3]))
+        )
+        columns = cond_passes.get(n) or _pass(t0, p, _keyed(cfg, n, size), radial, condition=n)
+        masses = montecarlo._radial_histogram(edges, columns()[-1], size).masses
         mix += pmf[n] * masses
         var_mix += (pmf[n] ** 2) * masses * (1.0 - masses) / size
         sizes.append(f"{size:.3g}".replace("e+0", "e").replace("e+", "e"))
@@ -548,7 +549,7 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
     stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges))
     passes = {
-        n: _pass(t0, p, McConfig(cfg.samples, (cfg.seed + n) % 2**64), stats_n, condition=n)
+        n: _pass(t0, p, _keyed(cfg, n, cfg.samples), stats_n, condition=n)
         for n in (1, 2, 3)
     }
 

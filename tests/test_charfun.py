@@ -14,12 +14,12 @@ import pytest
 from markovflight import (
     FlightParams,
     FreqQuery,
-    charfun,
     h0,
     h1,
     h2_series,
     h3_series,
     h_asymptotic,
+    specfun,
 )
 from markovflight.errors import DomainError, TruncationNotConverged
 
@@ -143,7 +143,7 @@ class TestH2H3:
                 assert abs(fn(q, P)) <= 1.0 + 1e-12
 
     def test_truncation_not_converged(self, monkeypatch):
-        monkeypatch.setattr(charfun, "_MAX_TERMS", 3)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(TruncationNotConverged):
             h2_series(query_for_x(5.0), P)
         with pytest.raises(TruncationNotConverged):

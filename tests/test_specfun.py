@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from markovflight import bessel_j, hyp5f4_unit, neg_cin, si
-from markovflight.errors import DomainError, InvalidParameter
-from markovflight.specfun import hyp3f2_unit_terminating, log_gamma
+from markovflight import (
+    arctan_pow, bessel_j, gamma_sum_identity, hyp5f4_unit, neg_cin, quartic_gamma, si, specfun,
+)
+from markovflight.errors import DomainError, InvalidParameter, NonFinite, TruncationNotConverged
+from markovflight.specfun import hyp3f2_unit_terminating, log_gamma, sum_series
 
 
 def mp_reference(fn, x: float) -> float:
@@ -228,3 +230,56 @@ class TestHyp3F2:
             hyp3f2_unit_terminating(2, -3.0)
         with pytest.raises(DomainError):
             hyp3f2_unit_terminating(-1, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: bessel_j(1.0, NAN), NonFinite),
+    (lambda: bessel_j(1.0, INF), NonFinite),
+    (lambda: bessel_j(NAN, 1.0), NonFinite),
+    (lambda: bessel_j(0.5, INF), NonFinite),
+    (lambda: bessel_j(1.5, INF), NonFinite),
+    (lambda: si(NAN), NonFinite),
+    (lambda: neg_cin(NAN), NonFinite),
+    (lambda: neg_cin(INF), NonFinite),
+    (lambda: gamma_sum_identity(3, INF), NonFinite),
+    (lambda: gamma_sum_identity(3, NAN), NonFinite),
+    (lambda: quartic_gamma(-1), DomainError),
+    *[(lambda n=n, z=z: arctan_pow(n, z), NonFinite) for n in (1, 4) for z in (NAN, INF, -INF)],
+], ids=[
+    "bessel_j_x_nan", "bessel_j_x_inf", "bessel_j_nu_nan", "bessel_j_half_x_inf",
+    "bessel_j_three_halves_x_inf", "si_nan", "neg_cin_nan", "neg_cin_inf",
+    "gamma_sum_a_inf", "gamma_sum_a_nan", "quartic_gamma_negative_k",
+    *[f"arctan_pow_{n}_{z}" for n in (1, 4) for z in ("nan", "inf", "-inf")],
+])
+def test_bad_input_raises_its_domain_error(call, error):
+    # each of these once returned nan, -inf or 0.0, leaked a bare ValueError,
+    # or spent the whole term budget before raising TruncationNotConverged
+    with pytest.raises(error):
+        call()
+
+
+class TestSumSeries:
+    def test_geometric_sum(self):
+        assert sum_series("geometric", lambda k: 0.5**k) == pytest.approx(2.0, abs=1e-13)
+
+    def test_does_not_stop_before_past(self):
+        # terms below the tail tolerance must not stop the sum while k + 1 <= past
+        terms = [0.0] * 10 + [1.0, 0.0]
+        assert sum_series("late", terms.__getitem__, past=10.0) == 1.0
+        assert sum_series("early", terms.__getitem__) == 0.0
+
+    def test_term_budget(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(TruncationNotConverged, match=r"^slow: 5 terms left tail"):
+            sum_series("slow", lambda k: 1.0 / (k + 1))
+
+    def test_rounding_loss(self):
+        with pytest.raises(TruncationNotConverged, match=r"^big: precision lost to terms of 1e\+04"):
+            sum_series("big", lambda k: 1e4 if k == 0 else 0.0)
+
+    def test_callers_name_leads_the_message(self):
+        with pytest.raises(TruncationNotConverged, match=r"^arctan_pow\(4, 10.0\): 400 terms"):
+            arctan_pow(4, 10.0)
