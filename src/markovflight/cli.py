@@ -61,7 +61,7 @@ def _cmd_gcurves(args) -> int:
     for lam in lams:
         p = FlightParams(c=args.c, lam=lam)
         for i in range(1, args.points + 1):
-            t = args.tmin + (args.tmax - args.tmin) * i / args.points
+            t = args.tmin + (args.tmax - args.tmin) * (i / args.points)
             rows.append(",".join(map(_fmt, [lam, t] + [f(t, p) for f in masses])))
     _emit("\n".join(rows) + "\n", args.output)
     return 0

@@ -5,17 +5,19 @@ the nonstandard cosine integral used by the characteristic functions, and two
 terminating hypergeometric sums at unit argument (log-gamma and the 3F2 sum
 are internal helpers, not exported).
 
-`sum_series` is the one truncation rule of the paper's series (H_2, H_3 and the
-arctan powers): to the first term below 1e-14, within 400 terms and 1e-13 of rounding.
+`sum_series`, the one truncation rule of the paper's series (H_2, H_3, the arctan powers),
+sums to a term below 1e-14 within 400 terms; `_quad` is the one integrator.  Neither is public.
 """
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 
+import numpy as np
 from scipy import special
 
-from .errors import DomainError, InvalidParameter, TruncationNotConverged
+from .errors import DomainError, InvalidParameter, QuadratureNotConverged, TruncationNotConverged
 from .model import check_radius
 
 __all__ = ["bessel_j", "si", "neg_cin", "hyp5f4_unit"]
@@ -49,6 +51,40 @@ def sum_series(name: str, term, past: float = 0.0) -> float:
     raise TruncationNotConverged(f"{name}: {_MAX_TERMS} terms left tail above {_TAIL_TOL}")
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _quad(f, a: float, b: float, tol: float) -> float:
+    """Adaptive composite 16-point Gauss-Legendre integral over [a, b] of f,
+    which takes an array of nodes.  A panel's value is the sum of its halves'
+    rules and its error estimate their gap to its own rule.  The worst panel
+    is halved until the estimates sum to at most max(min(tol/4, 1e-12),
+    1e-13 |value|) or 400 panels are in use."""
+
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * float(_GL_WEIGHTS @ f(lo + half * (_GL_NODES + 1.0)))
+
+    def panel(lo, hi, whole):
+        left, right = gauss(lo, 0.5 * (lo + hi)), gauss(0.5 * (lo + hi), hi)
+        return -abs(whole - left - right), lo, hi, left, right
+
+    panels = [panel(a, b, gauss(a, b))]
+    while True:
+        err = -math.fsum(q[0] for q in panels)
+        val = math.fsum(q[3] + q[4] for q in panels)
+        if err <= max(min(tol / 4.0, 1e-12), 1e-13 * abs(val)) or len(panels) >= 400:
+            break
+        _, lo, hi, left, right = heapq.heappop(panels)
+        heapq.heappush(panels, panel(lo, 0.5 * (lo + hi), left))
+        heapq.heappush(panels, panel(0.5 * (lo + hi), hi, right))
+    if not err <= tol:
+        raise QuadratureNotConverged(
+            f"quadrature error estimate {err:.3g} exceeds tol {tol:.3g}"
+        )
+    return val
+
+
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if x <= 0:
@@ -70,13 +106,13 @@ def bessel_j(nu: float, x: float) -> float:
         return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
     if nu == 1.5:
         pref = math.sqrt(2.0 / (math.pi * x))
-        if x < 0.1:
-            # sin(x)/x - cos(x) cancels catastrophically near 0; its own
-            # series sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)! is exact here
+        if x < 0.5:
+            # sin(x)/x - cos(x) cancels catastrophically near 0; its own series
+            # sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)!, term ratio -x^2/(2m(2m+3)), is exact here
             x2 = x * x
-            poly = x2 / 3.0 * (
-                1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0))
-            )
+            poly = x2 / 3.0 * (1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0 * (
+                1.0 - x2 / 88.0 * (1.0 - x2 / 130.0 * (1.0 - x2 / 180.0))
+            ))))
             return pref * poly
         return pref * (math.sin(x) / x - math.cos(x))
     return float(special.jv(nu, x))

@@ -1,4 +1,4 @@
-"""Quadrature engine and the cross-check suite tying each formula to an oracle.
+"""Density quadrature and the cross-check suite tying each formula to an oracle.
 
 Checks never compare a formula to itself through a shared code path: series
 implementations are paired with Monte Carlo, densities with quadrature, and
@@ -14,7 +14,6 @@ of its names.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import arctan_series, charfun, density, montecarlo, specfun
-from .errors import DomainError, QuadratureNotConverged
+from .errors import DomainError
 from .model import FlightParams, McConfig, check_radius, check_time, switch_weights
 
 __all__ = [
@@ -89,41 +88,7 @@ def reports_to_csv(reports) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-_GL_NODES, _GL_WEIGHTS = special.roots_legendre(16)
-
-
-def _quad(f, a: float, b: float, tol: float) -> float:
-    """Adaptive composite 16-point Gauss-Legendre integral over [a, b] of f,
-    which takes an array of nodes.  A panel's value is the sum of its halves'
-    rules and its error estimate their gap to its own rule.  The worst panel
-    is halved until the estimates sum to at most max(min(tol/4, 1e-12),
-    1e-13 |value|) or 400 panels are in use."""
-
-    def gauss(lo, hi):
-        half = 0.5 * (hi - lo)
-        return half * float(_GL_WEIGHTS @ f(lo + half * (_GL_NODES + 1.0)))
-
-    def panel(lo, hi, whole):
-        left, right = gauss(lo, 0.5 * (lo + hi)), gauss(0.5 * (lo + hi), hi)
-        return -abs(whole - left - right), lo, hi, left, right
-
-    panels = [panel(a, b, gauss(a, b))]
-    while True:
-        err = -math.fsum(q[0] for q in panels)
-        val = math.fsum(q[3] + q[4] for q in panels)
-        if err <= max(min(tol / 4.0, 1e-12), 1e-13 * abs(val)) or len(panels) >= 400:
-            break
-        _, lo, hi, left, right = heapq.heappop(panels)
-        heapq.heappush(panels, panel(lo, 0.5 * (lo + hi), left))
-        heapq.heappush(panels, panel(0.5 * (lo + hi), hi, right))
-    if not err <= tol:
-        raise QuadratureNotConverged(
-            f"quadrature error estimate {err:.3g} exceeds tol {tol:.3g}"
-        )
-    return val
+# the density's radial integrals
 
 
 def _integrate(p: FlightParams, t: float, r: float, tol: float, term=None) -> float:
@@ -155,11 +120,11 @@ def _integrate(p: FlightParams, t: float, r: float, tol: float, term=None) -> fl
     if term is not None:
         if term not in spans:
             raise DomainError(f"term must be one of {sorted(spans)}, got {term!r}")
-        return _quad(*spans[term], tol)
+        return specfun._quad(*spans[term], tol)
     # each bracket to within tol e^(lam t)/3 puts their sum times e^(-lam t)
     # within tol; past e^700 the factor would overflow
     bracket_tol = tol * math.exp(min(lt, 700.0)) / 3.0
-    return math.exp(-lt) * sum(_quad(*span, bracket_tol) for span in spans.values())
+    return math.exp(-lt) * sum(specfun._quad(*span, bracket_tol) for span in spans.values())
 
 
 def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None) -> float:
@@ -233,8 +198,8 @@ def _si_cin_reference() -> list:
     worst_si = worst_cin = 0.0
     for x in np.linspace(0.1, 40.0, 80):
         x = float(x)
-        s_ref = _quad(lambda u: np.sin(u) / u, 0.0, x, 1e-11)
-        cin_ref = _quad(lambda u: (np.cos(u) - 1.0) / u, 0.0, x, 1e-11)
+        s_ref = specfun._quad(lambda u: np.sin(u) / u, 0.0, x, 1e-11)
+        cin_ref = specfun._quad(lambda u: (np.cos(u) - 1.0) / u, 0.0, x, 1e-11)
         worst_si = max(worst_si, abs(specfun.si(x) - s_ref))
         worst_cin = max(worst_cin, abs(specfun.neg_cin(x) - cin_ref))
     return [(worst_si, 0.0, 1e-10), (worst_cin, 0.0, 1e-10)]
@@ -316,6 +281,13 @@ def _decay(p: FlightParams, power: int) -> tuple:
     )
 
 
+def _remainder_bound(p: FlightParams, t: float, alpha: float) -> float:
+    """|h_asymptotic - sum_{n<=3} P_n H_n| <= P_2 x^2/24 + P_3 x^2/30 at x = ct ||alpha||,
+    the first dropped Bessel terms, plus 2^-50 for the rounding of H_n - L_n near 1."""
+    _, _, w2, w3, _ = switch_weights(t, p)
+    return (w2 / 24.0 + w3 / 30.0) * (p.c * t * alpha) ** 2 + 2.0**-50
+
+
 def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
     weights = switch_weights(t, p)
     hs = (charfun.h0, charfun.h1, charfun.h2_series, charfun.h3_series)
@@ -323,8 +295,8 @@ def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
     for alpha in (0.3, 0.5, 1.0, 2.0, 3.0):
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
         exact = math.fsum(w * h(q, p) for w, h in zip(weights, hs))
-        worst = max(worst, abs(charfun.h_asymptotic(q, p) - exact))
-    return worst, 0.0, 5.0 * t**3
+        worst = max(worst, abs(charfun.h_asymptotic(q, p) - exact) / _remainder_bound(p, t, alpha))
+    return worst, 0.0, 1.0, "worst remainder / bound"
 
 
 def _static_rows(p: FlightParams, t_list) -> list:
@@ -404,10 +376,9 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
     def uncond(parts):
         est = montecarlo._cf_estimate(parts, n)
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
-        return (
-            est.real.mean, charfun.h_asymptotic(q, p),
-            3.0 * est.real.std_error + 5.0 * t**3,
-        )
+        # the dropped n >= 4 terms add at most P{N >= 4}, as |H_n| <= 1
+        tol = 3.0 * est.real.std_error + _remainder_bound(p, t, alpha) + switch_weights(t, p)[4]
+        return est.real.mean, charfun.h_asymptotic(q, p), tol
 
     def atom(parts):
         hist = montecarlo._radial_histogram(edges, parts, n)

@@ -133,6 +133,17 @@ class TestGcurves:
         code, _, err = run_cli(["gcurves", "--tmin", "1", "--tmax", "0.5"], capsys)
         assert code == 2 and "usage error" in err
 
+    def test_grid_does_not_overflow_near_the_largest_float(self, capsys):
+        # (tmax - tmin) * i overflowed before the division, and the command
+        # blamed a t of inf that the user never gave
+        code, out, _ = run_cli(["gcurves", "--tmin", "0", "--tmax", "1e308", "--points", "2"],
+                               capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 4 * 2
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert [float(r[1]) for r in rows[:2]] == [5e307, 1e308]
+
     def test_infinite_tmax_is_usage_error(self, capsys):
         # it printed rows such as 1,inf,1,nan,nan and exited 0
         code, out, err = run_cli(["gcurves", "--tmax", "inf"], capsys)

@@ -45,21 +45,22 @@ def test_package_names_are_the_module_names(module):
 
 
 def test_internal_helpers_stay_importable_but_private():
-    from markovflight.specfun import hyp3f2_unit_terminating, log_gamma, sum_series
+    from markovflight.specfun import _quad, hyp3f2_unit_terminating, log_gamma, sum_series
 
-    for helper in (log_gamma, hyp3f2_unit_terminating, sum_series):
+    for helper in (log_gamma, hyp3f2_unit_terminating, sum_series, _quad):
         assert callable(helper)
         assert helper.__name__ not in markovflight.__all__
 
 
 @pytest.mark.parametrize("module", ["markovflight", "markovflight.cli"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats cost about 0.5 s of every command's start and scipy.integrate
-    # (with scipy.optimize and scipy.sparse) about 0.12 s more; nothing needs them
+    # scipy.stats cost about 0.5 s of every command's start, scipy.integrate
+    # (with scipy.optimize and scipy.sparse) about 0.12 s more and scipy.linalg,
+    # once loaded for scipy's Gauss-Legendre nodes, about 0.06 s; nothing needs them
     code = (
         f"import sys, {module}; "
         "print(sorted(k for k in sys.modules if k.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'integrate'])))"
+        "(['scipy', 'stats'], ['scipy', 'integrate'], ['scipy', 'linalg'])))"
     )
     src = str(Path(markovflight.__file__).parents[1])
     out = subprocess.run(

@@ -120,6 +120,15 @@ class TestBesselJ:
             ref = bessel_series(n + 0.5, x)
             assert bessel_j(n + 0.5, x) == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [1e-150, 1e-100, 1e-9, 0.0999, 0.11, 0.3, 0.49, 0.51])
+    def test_three_halves_relative_error_near_zero(self, x):
+        # the x^8 polynomial gave 7.4e-15 at x = 0.0999 and sin(x)/x - cos(x)
+        # 2.5e-14 at 0.11; pytest.approx's 1e-12 absolute floor would hide both
+        with mpmath.workdps(40):
+            ref = mpmath.besselj(1.5, mpmath.mpf(x))
+            err = abs((mpmath.mpf(bessel_j(1.5, x)) - ref) / ref)
+        assert err <= 2e-15
+
     def test_trig_forms_vs_scipy(self):
         # the closed trig forms for orders 1/2 and 3/2 vs scipy's generic jv
         for x in (0.05, 0.5, 2.0, 10.0, 40.0):

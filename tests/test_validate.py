@@ -24,9 +24,10 @@ from markovflight import (
     reports_to_csv,
     run_suite,
 )
-from markovflight import montecarlo, specfun, validate
+from markovflight import charfun, montecarlo, specfun, validate
 from markovflight.errors import DomainError, QuadratureNotConverged, RadiusOutsideBall
-from markovflight.validate import _quad
+from markovflight.model import switch_weights
+from markovflight.specfun import _quad
 
 P = FlightParams(c=5.0, lam=2.0)
 
@@ -315,6 +316,32 @@ class TestRunSuite:
         est = [r for r in reports if r.name.startswith("est_")]
         assert len(est) == 4
         assert [r.name for r in est if not r.passed] == []
+
+    def test_asymptotic_rows_pass_at_large_lambda(self):
+        # the bound on h_asymptotic's remainder scales with lam; a flat 5 t^3
+        # failed all three rows at lam t = 10
+        reports = run_suite(FlightParams(c=5.0, lam=10.0), (1.0,), quick=True)
+        assert [r.name for r in reports if not r.passed] == []
+
+    def test_asymptotic_rows_catch_dropped_bessel_shapes(self, monkeypatch):
+        # with L_2 = L_3 = 1 the remainder is twice the bound; 5 t^3 passed it
+        monkeypatch.setattr(charfun, "_leads", lambda x: (1.0, 1.0))
+        reports = run_suite(quick=True)
+        asym = [r for r in reports if r.name.startswith("h_asym_vs_conditional_sum_")]
+        assert len(asym) == 3
+        assert not any(r.passed for r in asym)
+        assert all(1.9 < r.lhs < 2.0 for r in asym), [r.lhs for r in asym]
+
+    def test_remainder_bound_covers_the_remainder(self):
+        for p in (FlightParams(1.0, 0.5), FlightParams(5.0, 10.0), FlightParams(20.0, 50.0)):
+            for t in (0.4, 0.1, 0.01):
+                weights = switch_weights(t, p)
+                for alpha in (0.3, 1.0, 3.0):
+                    q = charfun.FreqQuery(alpha_norm=alpha, t=t)
+                    hs = (charfun.h0, charfun.h1, charfun.h2_series, charfun.h3_series)
+                    exact = math.fsum(w * h(q, p) for w, h in zip(weights, hs))
+                    gap = abs(charfun.h_asymptotic(q, p) - exact)
+                    assert gap <= validate._remainder_bound(p, t, alpha), (p, t, alpha)
 
     def test_report_lines_format(self):
         reports = run_suite(quick=True)
