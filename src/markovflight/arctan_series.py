@@ -53,8 +53,7 @@ def _coefficient(n: int, k: int) -> float:
     if n == 2:
         return _SQRT_PI / 2.0 * math.exp(log_gamma(k + 1.0) - log_gamma(k + 1.5)) / (k + 1.0)
     if n == 3:
-        base = math.exp(log_gamma(k + 0.5) - log_gamma(k + 1.0)) / (_SQRT_PI * (2 * k + 1))
-        return base * hyp5f4_unit(k)
+        return _coefficient(1, k) * hyp5f4_unit(k)
     return math.pi / 2.0 * quartic_gamma(k)
 
 
@@ -83,8 +82,9 @@ def gamma_sum_identity(n: int, a: float) -> tuple:
             = pi Gamma(a/2) Gamma(n+(a+1)/2) / [(2n+a) Gamma((a+1)/2) Gamma(n+a/2)]
 
     valid for real a not in {0, -1, -2, ...}.  Returns (lhs, rhs); the left
-    side is evaluated through its terminating 3F2 form, the right side through
-    log-gamma, so the two routes share no code.
+    side is evaluated through its terminating 3F2 form, the right side as the
+    Pochhammer ratio pi/(2n+a) prod_{j<n} ((a+1)/2 + j)/(a/2 + j), so the two
+    routes share no code.  Raises DomainError where a side is not a finite float.
     """
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
@@ -95,9 +95,7 @@ def gamma_sum_identity(n: int, a: float) -> tuple:
     # lhs: the sum equals sqrt(pi) Gamma(n+1/2)/(a n!) * 3F2(-n,1/2,a/2; -n+1/2,a/2+1; 1)
     pref = _SQRT_PI * math.exp(log_gamma(n + 0.5) - log_gamma(n + 1.0)) / a
     lhs = pref * hyp3f2_unit_terminating(n, a)
-    # rhs through log|Gamma|, each Gamma(x) at x < 0 carrying its sign (-1)^ceil(-x)
-    args = (a / 2.0, n + (a + 1.0) / 2.0, (a + 1.0) / 2.0, n + a / 2.0)
-    sign = math.prod(1.0 if x > 0 else (-1.0) ** math.ceil(-x) for x in args)
-    lg = [math.lgamma(x) for x in args]
-    rhs = math.pi * sign * math.exp(lg[0] + lg[1] - lg[2] - lg[3]) / (2.0 * n + a)
+    rhs = math.pi / (2.0 * n + a) * math.prod((a / 2 + 0.5 + j) / (a / 2 + j) for j in range(n))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DomainError(f"gamma_sum_identity({n}, {a}) leaves the float range: ({lhs}, {rhs})")
     return lhs, rhs

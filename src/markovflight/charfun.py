@@ -42,7 +42,7 @@ class FreqQuery:
 
 
 def _x(q: FreqQuery, p: FlightParams) -> float:
-    x = p.c * q.t * q.alpha_norm
+    x = p.c * q.t * q.alpha_norm if q.alpha_norm else 0.0  # 0 even where c t overflows
     if x == math.inf:
         raise NonFinite(f"x = c t ||alpha|| overflows at t={q.t}, alpha_norm={q.alpha_norm}")
     return x

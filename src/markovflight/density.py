@@ -103,6 +103,9 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     check_radius(r, ct)
     if r == 0.0:
         return 0.0
+    # ct = m 2^e: in units of 2^e no rounding changes and ct * ct stays a normal float
+    ct, e = math.frexp(ct)
+    r = math.ldexp(r, -e)
     ratio = r / ct
     if ratio < _SMALL_RATIO:
         # rho - (1 - rho^2) artanh(rho) = 2 rho sum_{k>=1} rho^(2k)/(4k^2-1)

@@ -258,7 +258,6 @@ def estimate_cf(
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
     check_time(t)
-    workers = _workers(workers)
     if not math.isfinite(p.c * t * alpha_norm):
         # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
         raise NonFinite(f"x = c t ||alpha|| must be finite, got alpha_norm={alpha_norm}, t={t}")

@@ -37,11 +37,14 @@ _ROUNDING_TOL = 1e-13
 
 def sum_series(name: str, term, past: float = 0.0) -> float:
     """Sum term(k) for k = 0, 1, ... to the first term below _TAIL_TOL with k + 1 > past,
-    before which the terms may still grow.  Raises TruncationNotConverged, led by name,
-    after _MAX_TERMS terms or once the largest term's rounding passes _ROUNDING_TOL."""
+    before which the terms may still grow.  Raises TruncationNotConverged, led by name, after
+    _MAX_TERMS terms, once the largest term's rounding passes _ROUNDING_TOL, or on overflow."""
     total = peak = 0.0
     for k in range(_MAX_TERMS):
-        value = term(k)
+        try:
+            value = term(k)
+        except OverflowError:
+            raise TruncationNotConverged(f"{name}: term {k} overflows") from None
         peak = max(peak, abs(value))
         if peak * 2.0**-52 > _ROUNDING_TOL:
             raise TruncationNotConverged(f"{name}: precision lost to terms of {peak:.3g}")
@@ -115,7 +118,11 @@ def bessel_j(nu: float, x: float) -> float:
             ))))
             return pref * poly
         return pref * (math.sin(x) / x - math.cos(x))
-    return float(special.jv(nu, x))
+    value = float(special.jv(nu, x))
+    # jv gives nan past nu ~ 1e17; |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) says where J underflows
+    if math.isnan(value) and nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) > -746.0:
+        raise DomainError(f"bessel_j({nu}, {x}): scipy's jv returns nan")
+    return 0.0 if math.isnan(value) else value
 
 
 def si(x: float) -> float:

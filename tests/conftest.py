@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile=ci`: derandomized, with ten times the default 100 examples
+settings.register_profile("ci", derandomize=True, deadline=None, database=None, max_examples=1000)
 
 _acceptance_lines = []
 

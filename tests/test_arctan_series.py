@@ -9,10 +9,13 @@ the left side pi times an exact rational for rational a.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from markovflight import arctan_pow, gamma_sum_identity, quartic_gamma
-from markovflight.errors import InvalidParameter, TruncationNotConverged, UnsupportedPower
+from markovflight.errors import (
+    DomainError, InvalidParameter, TruncationNotConverged, UnsupportedPower,
+)
 
 
 def gamma_half_rational(m: int) -> Fraction:
@@ -123,6 +126,30 @@ class TestGammaSumIdentity:
         lhs, rhs = gamma_sum_identity(n, a)
         assert lhs == pytest.approx(ref, rel=1e-12)
         assert rhs == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n,a", [(5, 1e15), (1, 1e10), (2, 1e8), (20, 1e6), (3, 1e4)])
+    def test_right_side_at_large_a_against_mpmath(self, n, a):
+        # four log-gammas once cancelled here: 403x off at (5, 1e15), 1.5e-5 at (1, 1e10)
+        with mpmath.workdps(50):
+            a_mp = mpmath.mpf(a)
+            ref = mpmath.pi * mpmath.gamma(a_mp / 2) * mpmath.gamma(n + (a_mp + 1) / 2) / (
+                (2 * n + a_mp) * mpmath.gamma((a_mp + 1) / 2) * mpmath.gamma(n + a_mp / 2)
+            )
+            for side in gamma_sum_identity(n, a):
+                assert abs(side - ref) <= 1e-13 * abs(ref)
+
+    def test_sides_outside_the_float_range_raise(self):
+        # 1/a overflows both sides; the log-gamma route leaked OverflowError
+        with pytest.raises(DomainError, match="leaves the float range"):
+            gamma_sum_identity(1, 2.2250738585e-313)
+
+    @pytest.mark.parametrize("a", [2.56e305, 5.12e305])
+    def test_huge_a_keeps_its_finite_sides(self, a):
+        # both sides are pi/a, inside the float range; the log-gamma route
+        # raised OverflowError at 5.12e305
+        lhs, rhs = gamma_sum_identity(0, a)
+        assert lhs == pytest.approx(math.pi / a, rel=1e-15)
+        assert rhs == math.pi / a
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):

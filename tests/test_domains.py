@@ -1,0 +1,122 @@
+"""Every public scalar function is total: a finite value or a MarkovFlightError.
+
+A derandomized hypothesis sweep over the public scalar functions of `specfun`,
+`arctan_series`, `charfun` and `density` and the two radial quadratures of
+`validate`.  Float arguments may be NaN, infinite, negative or subnormal, and
+`FlightParams` spans [1e-300, 1e300] log-uniformly.  A NaN, an inf, or a raw
+`ValueError`, `ZeroDivisionError` or `OverflowError` fails the sweep.  The
+Monte Carlo estimators are left out: their draws grow as lam t times the
+sample count, so an unguarded sweep over them exhausts memory.
+
+`--hypothesis-profile=ci` (tests/conftest.py) runs ten times the examples.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from markovflight import FlightParams, Vec3, integrate_ac_density, integrate_ac_density_ball
+from markovflight import arctan_series, charfun, density, specfun
+from markovflight.errors import DomainError, MarkovFlightError, NonFinite, TruncationNotConverged
+
+SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+ANY = st.one_of(st.floats(), SCALE)
+PARAMS = st.builds(FlightParams, SCALE, SCALE)
+
+
+def _h(h):
+    return lambda alpha, t, p: h(charfun.FreqQuery(alpha, t), p)
+
+
+# name: (strategy of the argument tuple, call returning a float or a tuple of floats)
+CASES = {
+    "bessel_j": (st.tuples(ANY, ANY), specfun.bessel_j),
+    "si": (st.tuples(ANY), specfun.si),
+    "neg_cin": (st.tuples(ANY), specfun.neg_cin),
+    "hyp5f4_unit": (st.tuples(st.integers(-3, 400)), specfun.hyp5f4_unit),
+    "arctan_pow": (st.tuples(st.integers(-1, 5), ANY), arctan_series.arctan_pow),
+    "quartic_gamma": (st.tuples(st.integers(-3, 400)), arctan_series.quartic_gamma),
+    "gamma_sum_identity": (st.tuples(st.integers(-2, 300), ANY), arctan_series.gamma_sum_identity),
+    **{name: (st.tuples(ANY, ANY, PARAMS), _h(getattr(charfun, name)))
+       for name in ("h0", "h1", "h2_series", "h3_series", "h_asymptotic")},
+    **{name: (st.tuples(ANY, PARAMS), getattr(density, name))
+       for name in ("singular_weight", "g_exact", "g_tilde", "switch_tail_error")},
+    **{name: (st.tuples(ANY, ANY, PARAMS), getattr(density, name))
+       for name in ("ac_density", "ball_prob_asymptotic")},
+    "density_at": (
+        st.tuples(ANY, ANY, ANY, ANY, PARAMS),
+        lambda x1, x2, x3, t, p: dataclasses.astuple(density.density_at(Vec3(x1, x2, x3), t, p)),
+    ),
+    "radial_profile": (
+        st.tuples(ANY, PARAMS, st.integers(0, 6), ANY),
+        lambda *args: density.radial_profile(*args).values,
+    ),
+    "integrate_ac_density": (st.tuples(ANY, PARAMS), integrate_ac_density),
+    "integrate_ac_density_ball": (st.tuples(ANY, ANY, PARAMS), integrate_ac_density_ball),
+}
+
+
+def _assert_total(call, args):
+    try:
+        value = call(*args)
+    except MarkovFlightError:
+        return
+    assert np.all(np.isfinite(np.asarray(value, dtype=float))), (args, value)
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_is_total(name, data):
+    strategy, call = CASES[name]
+    _assert_total(call, data.draw(strategy))
+
+
+# points where the sweep or a direct probe once met a leak: nan, or a raw
+# OverflowError or ZeroDivisionError
+def test_bessel_j_past_scipys_order_range_underflows_to_zero():
+    # scipy's jv gives nan from nu ~ 2.4e17 at x = 3 and 2.2e22 at x = 1e3
+    assert specfun.bessel_j(1e17, 3.0) == 0.0
+    assert specfun.bessel_j(2.2e22, 1e3) == 0.0
+
+
+@pytest.mark.parametrize("name", ["h0", "h1", "h2_series", "h3_series", "h_asymptotic"])
+def test_zero_frequency_where_ct_overflows(name):
+    # c t is inf there and inf * 0 was nan
+    q, p = charfun.FreqQuery(0.0, 1e10), FlightParams(1e300, 1.0)
+    shape = getattr(charfun, name)(q, p)
+    assert shape == (0.0 if name == "h_asymptotic" else 1.0)  # P{N <= 3} is 0 at lam t = 1e10
+
+
+@pytest.mark.parametrize("name", ["H2", "H3"])
+def test_overflowing_series_term_is_truncation_error(name):
+    # at x = 3.6e207 the k = 3 term of H3 raised OverflowError from math.exp
+    series = charfun.h2_series if name == "H2" else charfun.h3_series
+    with pytest.raises(TruncationNotConverged, match=f"^{name} series at x="):
+        series(charfun.FreqQuery(1.0, 1.0), FlightParams(3.6e207, 1.0))
+
+
+def test_sum_series_names_an_overflowing_term():
+    with pytest.raises(TruncationNotConverged, match=r"^huge: term 1 overflows"):
+        specfun.sum_series("huge", lambda k: math.exp(1000.0 * k))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_ac_density(1.0, FlightParams(1.0, 1e103), 1.0),
+    lambda: integrate_ac_density_ball(0.5, 1.0, FlightParams(1.0, 1e103)),
+    lambda: integrate_ac_density(1.0, FlightParams(1e103, 1.0)),
+    lambda: integrate_ac_density(1.0, FlightParams(5e102, 1.0)),
+], ids=["whole_ball_lam", "subball_lam", "whole_ball_c", "whole_ball_c_silent"])
+def test_quadrature_where_the_const_bracket_overflows(call):
+    # lam**3 and c**3 raised OverflowError inside the const bracket, and at
+    # c = 5e102 the bracket's 2 c^3 was inf, dropping it: 0.5518 for 0.6131
+    with pytest.raises(NonFinite, match="the const bracket overflows"):
+        call()
+
+
+def test_whole_ball_quadrature_where_ct_underflows():
+    # asin(r / ct) divided 0 by 0
+    with pytest.raises(DomainError, match="r must be > 0"):
+        integrate_ac_density(1e-200, FlightParams(1e-200, 1.0))

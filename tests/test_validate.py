@@ -62,8 +62,6 @@ QUICK_NAMES = [
     "window_endpoint_lam1.5",
     "window_endpoint_lam2",
     "window_endpoint_lam2.5",
-    "h2_leading_term_decay",
-    "h3_leading_term_decay",
     "h_asym_vs_conditional_sum_t0.2",
     "h_asym_vs_conditional_sum_t0.1",
     "h_asym_vs_conditional_sum_t0.05",
@@ -331,6 +329,19 @@ class TestRunSuite:
         assert len(asym) == 3
         assert not any(r.passed for r in asym)
         assert all(1.9 < r.lhs < 2.0 for r in asym), [r.lhs for r in asym]
+
+    @pytest.mark.parametrize("name,scale", [
+        ("h2_series", 1e-3), ("h3_series", 1e-3), ("h3_series", 1e-5),
+    ])
+    def test_asymptotic_rows_catch_a_scaled_series(self, monkeypatch, name, scale):
+        # the remainder bound also decides what the deleted leading-term decay
+        # rows checked; they passed h3_series scaled by 1 + 1e-5
+        series = getattr(charfun, name)
+        monkeypatch.setattr(charfun, name, lambda q, p: (1.0 + scale) * series(q, p))
+        reports = run_suite(quick=True)
+        asym = [r for r in reports if r.name.startswith("h_asym_vs_conditional_sum_")]
+        assert len(asym) == 3
+        assert not all(r.passed for r in asym), [r.lhs for r in asym]
 
     def test_remainder_bound_covers_the_remainder(self):
         for p in (FlightParams(1.0, 0.5), FlightParams(5.0, 10.0), FlightParams(20.0, 50.0)):
