@@ -99,12 +99,13 @@ def ball_prob_asymptotic(r: float, t: float, p: FlightParams) -> float:
     bracket, the mass of its shape inside r, tends to 1 and the sum to g_tilde.
     """
     _, w1, w2, w3, _ = switch_weights(t, p)
-    ct = p.c * t
-    check_radius(r, ct)
+    check_radius(r, p.c * t)  # where c t overflows, ct exceeds every float
     if r == 0.0:
         return 0.0
-    # ct = m 2^e: in units of 2^e no rounding changes and ct * ct stays a normal float
-    ct, e = math.frexp(ct)
+    # ct = m 2^e with m = mc mt: in units of 2^e no rounding changes, ct * ct
+    # stays a normal float, and c t can neither overflow nor underflow
+    (mc, ec), (mt, et) = math.frexp(p.c), math.frexp(t)
+    ct, e = mc * mt, ec + et
     r = math.ldexp(r, -e)
     ratio = r / ct
     if ratio < _SMALL_RATIO:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFinite
+from .errors import DomainError
 from .model import FlightParams, McConfig, McEstimate, check_radius, check_time
 
 __all__ = [
@@ -47,6 +47,8 @@ _CHUNK = 1 << 16
 # Paths per block of the endpoint kernel: its trig and reduction temporaries
 # are a block's size, so a chunk's working memory stays flat.
 _BLOCK = 1 << 12
+# Most segments one sampler call may draw: three float64 draws each, about 1.5 GB.
+_MAX_SEGMENTS = 1 << 26
 
 
 class CfEstimate(NamedTuple):
@@ -103,6 +105,14 @@ def _unit_vectors(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_draw(t: float, p: FlightParams, segments: float) -> None:
+    """Raise unless t is in the domain, ct is finite and segments <= _MAX_SEGMENTS."""
+    check_time(t)
+    check_radius(p.c * t, name="ct")
+    if not segments <= _MAX_SEGMENTS:
+        raise DomainError(f"{segments:.3g} segments exceed the budget of {_MAX_SEGMENTS}")
+
+
 def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Generator) -> np.ndarray:
     """Endpoints of paths with counts[i] switches each; shape (len(counts), 3).
 
@@ -142,7 +152,7 @@ def sample_positions_given_n(
     """Batch of `size` endpoints conditioned on exactly n switches; shape (size, 3)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    check_time(t)
+    _check_draw(t, p, size * (n + 1))
     return _endpoints(np.full(size, n), t, p, rng)
 
 
@@ -155,7 +165,7 @@ def sample_positions(
     Poisson(lam t); each path then draws exactly counts + 1 segments, so no
     row is padded and nothing is sorted.
     """
-    check_time(t)
+    _check_draw(t, p, size * (p.lam * t + 1.0))
     counts = rng.poisson(p.lam * t, size)
     return _endpoints(counts, t, p, rng), counts
 
@@ -258,9 +268,9 @@ def estimate_cf(
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
     check_time(t)
-    if not math.isfinite(p.c * t * alpha_norm):
-        # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
-        raise NonFinite(f"x = c t ||alpha|| must be finite, got alpha_norm={alpha_norm}, t={t}")
+    check_radius(alpha_norm, name="alpha_norm")
+    # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
+    check_radius(p.c * t * alpha_norm, name="x = c t ||alpha||")
     parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), condition, workers)
     return _cf_estimate(parts, cfg.samples)
 
@@ -272,7 +282,7 @@ def estimate_ball_prob(
     check_time(t)
     check_radius(r)
     workers = _workers(workers)
-    if r >= p.c * t:
+    if r >= p.c * t:  # ct = inf raises in the sampler
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
     hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r), workers=workers)
@@ -295,6 +305,7 @@ def radial_histogram(
     count, so masses.sum() + atom_fraction == 1 exactly.
     """
     check_time(t)
+    check_radius(p.c * t, name="ct")  # the edges span [0, ct]
     workers = _workers(workers)
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")

@@ -91,44 +91,36 @@ def reports_to_csv(reports) -> str:
 # the density's radial integrals
 
 
-def _integrate(p: FlightParams, t: float, r: float, tol: float, term=None) -> float:
-    """Integral over [0, r] of 4 pi s^2 ac_density(s) to within tol, or with
-    term in {"log", "sqrt", "const"} the bare integral of that one bracket
-    term (no exponential prefactor) to within tol."""
+def _poisson_pmf(k, mu: float) -> np.ndarray:
+    """Poisson(mu) probabilities at the integers k, by scipy.stats.poisson's own formula."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+
+
+def _integrate(lt: float, rho: float, tol: float, term=None) -> float:
+    """Integral over [0, rho ct] of 4 pi s^2 ac_density(s), or with term in {"log",
+    "sqrt", "const"} of that bracket alone (no exponential prefactor), to within
+    tol.  In rho = s/ct bracket n is (lam t)^n/n! times a shape of mass 1 on [0, 1)."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    if r == 0.0:  # also where ct = c t underflows
-        raise DomainError(f"r must be > 0, got {r} at c={p.c}, t={t}")
-    ct = p.c * t
-    lt = p.lam * t
-    if max(p.c, p.lam, lt) > 4.4e102:  # 2 c^3, lam^3 or (lam t)^3 of the const bracket overflow
-        raise NonFinite(f"the const bracket overflows at c={p.c}, lam={p.lam}, t={t}")
-
-    # Gauss nodes are interior: none lands on s = 0 or on the log's s = ct
-    def log_term(s):
-        return p.lam * s * np.log((ct + s) / (ct - s)) / (p.c * p.c * t)
-
-    def sqrt_term(theta):
-        # after s = ct sin(theta) the inverse-square-root factor cancels exactly
-        s = np.sin(theta)
-        return 2.0 * lt * lt / math.pi * s * s
-
-    def const_term(s):
-        return p.lam**3 * s * s / (2.0 * p.c**3)
-
+    # Gauss nodes are interior: none lands on rho = 0 or on the log's rho = 1;
+    # after rho = sin(theta) the inverse-square-root factor cancels exactly
     spans = {
-        "log": (log_term, 0.0, r),
-        "sqrt": (sqrt_term, 0.0, math.asin(r / ct)),
-        "const": (const_term, 0.0, r),
+        "log": (lambda x: x * np.log((1.0 + x) / (1.0 - x)), 0.0, rho),
+        "sqrt": (lambda theta: 4.0 / math.pi * np.sin(theta) ** 2, 0.0, math.asin(rho)),
+        "const": (lambda x: 3.0 * x * x, 0.0, rho),
     }
     if term is not None:
         if term not in spans:
             raise DomainError(f"term must be one of {sorted(spans)}, got {term!r}")
-        return specfun._quad(*spans[term], tol)
-    # each bracket to within tol e^(lam t)/3 puts their sum times e^(-lam t)
-    # within tol; past e^700 the factor would overflow
-    bracket_tol = tol * math.exp(min(lt, 700.0)) / 3.0
-    return math.exp(-lt) * sum(specfun._quad(*span, bracket_tol) for span in spans.values())
+        n = list(spans).index(term) + 1
+        bare = math.prod([lt] * n) / math.factorial(n)
+        if bare == math.inf:
+            raise NonFinite(f"the {term} bracket overflows at lam t = {lt}")
+        return bare * specfun._quad(*spans[term], tol / max(bare, 1.0))
+    # P{N=n} <= 1, so each shape to within tol/3 puts the sum within tol; the
+    # weights are 0.0 from lam t = 1e308 on, and at inf the pmf's inf - inf is nan
+    weights = _poisson_pmf(np.arange(1, 4), min(lt, 1e308))
+    return math.fsum(w * specfun._quad(*s, tol / 3.0) for w, s in zip(weights, spans.values()))
 
 
 def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None) -> float:
@@ -141,14 +133,18 @@ def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None
     (lam t)^3/6 respectively.  tol bounds the error of the value returned.
     """
     check_time(t)
-    return _integrate(p, t, p.c * t, tol, term)  # asin(1.0) is pi/2 exactly
+    return _integrate(p.lam * t, 1.0, tol, term)  # asin(1.0) is pi/2 exactly
 
 
 def integrate_ac_density_ball(r: float, t: float, p: FlightParams, tol: float = 1e-8) -> float:
-    """Radial integral of 4 pi rho^2 ac_density(rho) over [0, r], r < ct."""
+    """Radial integral of 4 pi s^2 ac_density(s) over [0, r], 0 < r < ct."""
     check_time(t)
-    check_radius(r, p.c * t)
-    return _integrate(p, t, r, tol)
+    check_radius(r, p.c * t)  # where c t overflows, ct exceeds every float
+    if r == 0.0:
+        raise DomainError(f"r must be > 0, got {r}")
+    # rho = r/(c t) with the powers of two apart, so c t never overflows or underflows
+    (mr, er), (mc, ec), (mt, et) = map(math.frexp, (r, p.c, t))
+    return _integrate(p.lam * t, math.ldexp(mr / (mc * mt), er - ec - et), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +176,8 @@ def _coefficient_sum() -> tuple:
 
 
 def _bessel_forms() -> tuple:
-    worst = 0.0
-    for x in np.linspace(0.05, 50.0, 120):
-        x = float(x)
-        worst = max(
-            worst,
-            abs(specfun.bessel_j(0.5, x) - special.jv(0.5, x)),
-            abs(specfun.bessel_j(1.5, x) - special.jv(1.5, x)),
-        )
+    xs = np.linspace(0.05, 50.0, 120).tolist()
+    worst = max(abs(specfun.bessel_j(nu, x) - special.jv(nu, x)) for nu in (0.5, 1.5) for x in xs)
     return worst, 0.0, 1e-12
 
 
@@ -301,11 +291,6 @@ def _static_rows(p: FlightParams, t_list) -> list:
 # the Monte Carlo rows: every analytic object against simulation
 
 
-def _poisson_pmf(k, mu: float) -> np.ndarray:
-    """Poisson(mu) probabilities at the integers k, by scipy.stats.poisson's own formula."""
-    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
-
-
 def _chisquare(observed: np.ndarray, expected: np.ndarray) -> tuple:
     """Pearson's statistic and its p-value on len(observed) - 1 degrees of freedom."""
     stat = np.sum((observed - expected) ** 2 / expected)
@@ -321,7 +306,7 @@ def _ks_pvalue(d: float, n: int) -> float:
 
 
 def _keyed(cfg: McConfig, n: int, samples: int) -> McConfig:
-    """The config of the stream given n switches: samples draws, seed cfg.seed + n."""
+    """The config of stream n: samples draws, seed (cfg.seed + n) mod 2^64."""
     return McConfig(samples, (cfg.seed + n) % 2**64)
 
 
@@ -353,7 +338,7 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
 
     def atom(parts):
         hist = montecarlo._radial_histogram(edges, parts, n)
-        target = math.exp(-lt)
+        target = _poisson_pmf(0, lt)
         se = math.sqrt(target * (1.0 - target) / n)
         partition_gap = abs(float(np.sum(hist.masses)) + hist.atom_fraction - 1.0)
         return (
@@ -444,16 +429,17 @@ def _mixture(p: FlightParams, t0: float, cfg: McConfig, edges, cond_passes, radi
     return _bound(margin, detail=f"worst bin margin {margin:.3g}; n=1..{n_hi}: {','.join(sizes)}")
 
 
-def _directions(cfg: McConfig) -> list:
-    rng = montecarlo.substream(cfg.seed, 999_983)
+def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
+    # paths given no switch end at ct times the sampler's own unit vectors;
+    # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0
     n = 10**6
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    b = montecarlo._BLOCK
-    sums = sum(montecarlo._unit_vectors(z[i:i + b], phi[i:i + b]).sum(axis=0)
-               for i in range(0, n, b))
-    del phi
-    worst_mean = float(np.max(np.abs(sums / n)))
+    ct = p.c * t
+    sums, zs = zip(*montecarlo._per_chunk(
+        t, p, _keyed(cfg, -1, n), lambda pos, _: (pos.sum(axis=0), pos[:, 2] / ct), condition=0
+    ))
+    worst_mean = float(np.max(np.abs(sum(sums) / (n * ct))))
+    z = np.concatenate(zs)
+    del zs
     # two-sided KS distance of z from U(-1, 1), as scipy.stats.kstest takes it
     z.sort()
     cdf = (z + 1.0) / 2.0
@@ -513,7 +499,8 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
         rows += _mc_rows_at(p, t, cfg)[0]
     return rows + [
         ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg, edges, passes, radial_t0())),
-        (("mc_direction_component_means", "mc_direction_ks_uniform"), lambda: _directions(cfg)),
+        (("mc_direction_component_means", "mc_direction_ks_uniform"),
+         lambda: _directions(p, t0, cfg)),
         (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
     ]
 

@@ -204,6 +204,14 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("markovflight: usage error: ")
 
+    def test_overflowing_ct_is_usage_error(self, capsys):
+        # the bin edges were nan and inf, with exit 0
+        argv = ["simulate", "--c", "1e300", "--lambda", "1e-300", "--t", "1e10",
+                "--samples", "10000", "--bins", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "ct must be finite" in err
+
 
 class TestValidateCommand:
     def test_quick_exit_zero(self, capsys):

@@ -1,12 +1,12 @@
 """Every public scalar function is total: a finite value or a MarkovFlightError.
 
 A derandomized hypothesis sweep over the public scalar functions of `specfun`,
-`arctan_series`, `charfun` and `density` and the two radial quadratures of
-`validate`.  Float arguments may be NaN, infinite, negative or subnormal, and
-`FlightParams` spans [1e-300, 1e300] log-uniformly.  A NaN, an inf, or a raw
-`ValueError`, `ZeroDivisionError` or `OverflowError` fails the sweep.  The
-Monte Carlo estimators are left out: their draws grow as lam t times the
-sample count, so an unguarded sweep over them exhausts memory.
+`arctan_series`, `charfun` and `density`, the two radial quadratures of
+`validate` and the Monte Carlo estimators.  Float arguments may be NaN,
+infinite, negative or subnormal, and `FlightParams` spans [1e-300, 1e300]
+log-uniformly.  A NaN, an inf, or a raw `ValueError`, `ZeroDivisionError` or
+`OverflowError` fails the sweep.  The estimators draw 1e4 samples at a t cut
+to at most 1/lam: their draws grow as lam t times the sample count.
 
 `--hypothesis-profile=ci` (tests/conftest.py) runs ten times the examples.
 """
@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markovflight import FlightParams, Vec3, integrate_ac_density, integrate_ac_density_ball
-from markovflight import arctan_series, charfun, density, specfun
+from markovflight import (
+    FlightParams, McConfig, Vec3, g_tilde, integrate_ac_density, integrate_ac_density_ball,
+)
+from markovflight import arctan_series, charfun, density, montecarlo, specfun
 from markovflight.errors import DomainError, MarkovFlightError, NonFinite, TruncationNotConverged
 
 SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -28,6 +30,19 @@ PARAMS = st.builds(FlightParams, SCALE, SCALE)
 
 def _h(h):
     return lambda alpha, t, p: h(charfun.FreqQuery(alpha, t), p)
+
+
+MC_CFG = McConfig(10_000, 1)
+
+
+def _brief(t, p):
+    # lam t <= 1: a path draws two segments on average
+    return min(t, 1.0 / p.lam)
+
+
+def _histogram(t, p):
+    hist = montecarlo.radial_histogram(_brief(t, p), p, MC_CFG, bins=4)
+    return np.concatenate([hist.edges, hist.masses, [hist.atom_fraction]])
 
 
 # name: (strategy of the argument tuple, call returning a float or a tuple of floats)
@@ -55,6 +70,13 @@ CASES = {
     ),
     "integrate_ac_density": (st.tuples(ANY, PARAMS), integrate_ac_density),
     "integrate_ac_density_ball": (st.tuples(ANY, ANY, PARAMS), integrate_ac_density_ball),
+    "estimate_cf": (st.tuples(ANY, ANY, PARAMS), lambda alpha, t, p: [
+        dataclasses.astuple(est) for est in montecarlo.estimate_cf(alpha, _brief(t, p), p, MC_CFG)
+    ]),
+    "estimate_ball_prob": (st.tuples(ANY, ANY, PARAMS), lambda r, t, p: dataclasses.astuple(
+        montecarlo.estimate_ball_prob(r, _brief(t, p), p, MC_CFG)
+    )),
+    "radial_histogram": (st.tuples(ANY, PARAMS), _histogram),
 }
 
 
@@ -103,20 +125,46 @@ def test_sum_series_names_an_overflowing_term():
         specfun.sum_series("huge", lambda k: math.exp(1000.0 * k))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: integrate_ac_density(1.0, FlightParams(1.0, 1e103), 1.0),
-    lambda: integrate_ac_density_ball(0.5, 1.0, FlightParams(1.0, 1e103)),
-    lambda: integrate_ac_density(1.0, FlightParams(1e103, 1.0)),
-    lambda: integrate_ac_density(1.0, FlightParams(5e102, 1.0)),
+@pytest.mark.parametrize("call,exact", [
+    (lambda: integrate_ac_density(1.0, FlightParams(1.0, 1e103), 1.0), 0.0),
+    (lambda: integrate_ac_density_ball(0.5, 1.0, FlightParams(1.0, 1e103)), 0.0),
+    (lambda: integrate_ac_density(1.0, FlightParams(1e103, 1.0)),
+     g_tilde(1.0, FlightParams(1e103, 1.0))),
+    (lambda: integrate_ac_density(1.0, FlightParams(5e102, 1.0)),
+     g_tilde(1.0, FlightParams(5e102, 1.0))),
 ], ids=["whole_ball_lam", "subball_lam", "whole_ball_c", "whole_ball_c_silent"])
-def test_quadrature_where_the_const_bracket_overflows(call):
+def test_quadrature_where_the_const_bracket_overflows(call, exact):
     # lam**3 and c**3 raised OverflowError inside the const bracket, and at
-    # c = 5e102 the bracket's 2 c^3 was inf, dropping it: 0.5518 for 0.6131
+    # c = 5e102 the bracket's 2 c^3 was inf, dropping it: 0.5518 for 0.6131;
+    # in rho = r/ct no bracket carries c, and P{N=n} is 0.0 at lam t = 1e103
+    assert call() == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_quadrature_where_c2t_overflows():
+    # the log bracket divided by c^2 t = inf and was dropped: 0.1839 for 0.6131
+    p = FlightParams(1e102, 1e-110)
+    assert integrate_ac_density(1e110, p) == pytest.approx(g_tilde(1e110, p), rel=1e-12)
+
+
+def test_quadrature_where_lam_t_overflows():
+    # the Poisson pmf's inf - inf was nan; P{N <= 3} is 0 there, as g_tilde says
+    assert integrate_ac_density(1e10, FlightParams(1.0, 1e300)) == 0.0
+
+
+def test_bare_bracket_that_overflows_is_non_finite():
     with pytest.raises(NonFinite, match="the const bracket overflows"):
-        call()
+        integrate_ac_density(1.0, FlightParams(1.0, 1e103), term="const")
 
 
 def test_whole_ball_quadrature_where_ct_underflows():
-    # asin(r / ct) divided 0 by 0
-    with pytest.raises(DomainError, match="r must be > 0"):
-        integrate_ac_density(1e-200, FlightParams(1e-200, 1.0))
+    # asin(r / ct) divided 0 by 0; in rho = r/ct the whole ball is rho = 1
+    p = FlightParams(1e-200, 1.0)
+    assert integrate_ac_density(1e-200, p) == pytest.approx(g_tilde(1e-200, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("ball", [integrate_ac_density_ball, density.ball_prob_asymptotic],
+                         ids=["quadrature", "series"])
+def test_subball_where_ct_overflows(ball):
+    # r / (c t) was r / inf = 0.0, and both returned 0.0; rho = 0.75 and lam t = 1
+    exact = density.ball_prob_asymptotic(0.75, 1.0, FlightParams(1.0, 1.0))
+    assert ball(1.5e308, 2e8, FlightParams(1e300, 5e-9)) == pytest.approx(exact, rel=1e-12)

@@ -354,6 +354,7 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     lambda: estimate_ball_prob(math.inf, T, P, _CFG),
     lambda: estimate_cf(math.nan, T, P, _CFG),
     lambda: estimate_cf(math.inf, T, P, _CFG, condition=1),
+    lambda: estimate_cf(-2.0, T, P, _CFG),
     lambda: sample_positions_given_n(2, math.nan, P, 10, substream(SEED, 0)),
     lambda: sample_positions_given_n(2, math.inf, P, 10, substream(SEED, 0)),
     lambda: sample_positions(math.nan, P, 10, substream(SEED, 0)),
@@ -374,6 +375,7 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     "estimate_conditional_cf", "estimate_ball_prob", "radial_histogram",
     "radial_histogram_no_switch", "radial_histogram_negative_condition",
     "ball_prob_r_nan", "ball_prob_r_inf", "cf_alpha_nan", "conditional_cf_alpha_inf",
+    "cf_alpha_negative",
     "given_n_t_nan", "given_n_t_inf", "positions_t_nan", "positions_t_inf",
     "cf_t_nan", "cf_t_inf", "ball_prob_t_nan", "ball_prob_t_inf",
     "histogram_t_nan", "histogram_no_switch_t_inf",
@@ -385,6 +387,34 @@ def test_bad_time_or_count_is_domain_error(call):
     # leak out, and a non-finite t, r or frequency must not give a silently
     # wrong number; worker counts below 1 must not quietly run serially
     with pytest.raises(DomainError):
+        call()
+
+
+# c t = inf; the generator is None, so a draw before the check would raise AttributeError
+P_HUGE, T_LONG = FlightParams(1e300, 1e-300), 1e10
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_positions(T_LONG, P_HUGE, 10, None),
+    lambda: sample_positions_given_n(2, T_LONG, P_HUGE, 10, None),
+    lambda: estimate_ball_prob(1.0, T_LONG, P_HUGE, _CFG),
+    lambda: radial_histogram(T_LONG, P_HUGE, _CFG, bins=4),
+], ids=["sample_positions", "sample_positions_given_n", "estimate_ball_prob", "radial_histogram"])
+def test_overflowing_ct_is_non_finite(call):
+    # the histogram's edges were nan and inf, and the ball estimate read 0.0
+    with pytest.raises(NonFinite, match="ct must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_positions(1.0, FlightParams(1.0, 1e20), 10, None),
+    lambda: sample_positions_given_n(2**26, T, P, 1, None),
+    lambda: estimate_cf(1.0, 1.0, FlightParams(1.0, 1e20), McConfig(10_000, 7)),
+], ids=["sample_positions", "sample_positions_given_n", "estimate_cf"])
+def test_segment_budget_is_checked_before_any_draw(call):
+    # rng.poisson raised numpy's ValueError at lam t = 1e20; below that the
+    # draws grow as lam t times the sample count
+    with pytest.raises(DomainError, match="segments exceed the budget"):
         call()
 
 

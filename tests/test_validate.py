@@ -398,10 +398,10 @@ class TestSinglePass:
     def test_each_stream_is_drawn_once(self, counted_suite):
         # one unconditional pass plus three determinism runs; one pass per
         # switch count n = 1..3, which the mixture reuses, plus its streams
-        # for n = 4..6 at the 1e4 floor
+        # for n = 4..6 at the 1e4 floor, and the direction rows' 1e6 paths given n = 0
         _, drawn = counted_suite
         assert drawn == {
-            "sample_positions": 4 * 10**5, "sample_positions_given_n": 33 * 10**4,
+            "sample_positions": 4 * 10**5, "sample_positions_given_n": 33 * 10**4 + 10**6,
         }
 
     def test_rows_equal_the_public_estimators(self, counted_suite):
@@ -418,6 +418,29 @@ class TestSinglePass:
         assert reports["mc_conditional_cf_n2_x1"].lhs == (
             estimate_cf(1.0 / (P.c * t), t, P, cond_cfg, condition=2).real.mean
         )
+
+
+def test_csv_bytes_equal_on_one_and_three_workers(monkeypatch):
+    # what CI checks by running the suite on every core and under taskset -c 0
+    csvs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(montecarlo, "_workers", lambda _=None, w=workers: w)
+        csvs.append(reports_to_csv(run_suite(cfg=MC_CFG)))
+    assert csvs[0] == csvs[1]
+
+
+def test_direction_rows_read_the_samplers_draws(monkeypatch):
+    # z folded to |z| inside the sampler: the rows once drew their own directions
+    endpoints = montecarlo._endpoints
+
+    def folded(*args):
+        pos = endpoints(*args)
+        pos[:, 2] = np.abs(pos[:, 2])
+        return pos
+
+    monkeypatch.setattr(montecarlo, "_endpoints", folded)
+    failed = [r.name for r in run_suite(cfg=MC_CFG) if not r.passed]
+    assert {"mc_direction_component_means", "mc_direction_ks_uniform"} <= set(failed)
 
 
 class TestStatisticsMatchScipyStats:
@@ -449,9 +472,11 @@ class TestStatisticsMatchScipyStats:
     def test_ks_distance_bit_equal_at_the_suite_seed(self, monkeypatch):
         seen = []
         monkeypatch.setattr(validate, "_ks_pvalue", lambda d, n: seen.append((d, n)) or 0.5)
-        validate._directions(self.SUITE_CFG)
+        validate._directions(P, 0.1, self.SUITE_CFG)
         [(d, n)] = seen
-        z = montecarlo.substream(DEFAULT_SEED, 999_983).uniform(-1.0, 1.0, n)
+        ct = P.c * 0.1
+        cfg = McConfig(n, DEFAULT_SEED - 1)
+        z = np.concatenate(montecarlo._per_chunk(0.1, P, cfg, lambda pos, _: pos[:, 2] / ct, 0))
         assert d == stats.kstest(z, lambda x: (x + 1.0) / 2.0).statistic
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
