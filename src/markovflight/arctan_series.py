@@ -2,8 +2,9 @@
 
 Each power of the inverse tangent admits a series in w = z^2/(1+z^2) with the
 prefactor (z/sqrt(1+z^2))^n.  The n = 3 coefficients involve a terminating
-5F4 sum, and the n = 4 coefficients are the quartic gamma_k weights that also
-drive the three-switch characteristic function.  The series in w is summed by
+5F4 sum, and the n = 4 coefficients are the quartic gamma_k weights.  Each
+a_{n+1,k}, computed once per process, also weighs the k-th Bessel term of the
+n-switch characteristic function (`charfun`).  The series in w is summed by
 `specfun.sum_series`, the package's one truncation rule.
 """
 from __future__ import annotations
@@ -28,26 +29,17 @@ def quartic_gamma(k: int) -> float:
     """
     if k < 0:
         raise DomainError(f"quartic_gamma requires k >= 0, got {k}")
-    return _quartic_gamma(k)
+    total = 0.0
+    for l in range(k + 1):
+        total += math.exp(log_gamma(l + 1.0) + log_gamma(k - l + 1.0) - math.log(l + 1.0)
+                          - log_gamma(l + 1.5) - log_gamma(k - l + 1.5))
+    return total / (k + 2.0)
 
 
 # Callers ask for k below their series' term budget, so the cache stays small.
 @functools.cache
-def _quartic_gamma(k: int) -> float:
-    total = 0.0
-    for l in range(k + 1):
-        total += math.exp(
-            log_gamma(l + 1.0)
-            + log_gamma(k - l + 1.0)
-            - math.log(l + 1.0)
-            - log_gamma(l + 1.5)
-            - log_gamma(k - l + 1.5)
-        )
-    return total / (k + 2.0)
-
-
 def _coefficient(n: int, k: int) -> float:
-    # k-th series coefficient for (arctan z)^n in powers of w = z^2/(1+z^2)
+    # k-th series coefficient a_{n,k} of (arctan z)^n in powers of w = z^2/(1+z^2)
     if n == 1:
         return math.exp(log_gamma(k + 0.5) - log_gamma(k + 1.0)) / (_SQRT_PI * (2 * k + 1))
     if n == 2:

@@ -84,10 +84,11 @@ def _cos_sin(a: np.ndarray) -> tuple:
     return (1.0 - tau) * (1.0 + tau) / d, 2.0 * tau / d
 
 
-def _radii(pos: np.ndarray) -> np.ndarray:
-    """Row norms of an (n, 3) array, bit for bit np.linalg.norm(pos, axis=1)
-    by the same additions, without its strided reduction."""
-    x, y, z = pos.T
+def _radii(pos: np.ndarray, e: int = 0) -> np.ndarray:
+    """Row norms of an (n, 3) array over 2^e, bit for bit np.linalg.norm(pos, axis=1) / 2^e by
+    the same additions, without its strided reduction, while no square leaves the float range;
+    at e = frexp(ct)[1] rows are within 1, and only coordinates below 2^-511 ct lose squares."""
+    x, y, z = (np.ldexp(pos, -e) if e else pos).T
     return np.sqrt(x * x + y * y + z * z)
 
 
@@ -232,14 +233,17 @@ def _cf_estimate(parts, n: int) -> CfEstimate:
     )
 
 
-def _ball_hits(pos: np.ndarray, r: float) -> float:
-    return float(np.sum(_radii(pos) <= r))
+def _ball_hits(pos: np.ndarray, r: float, ct: float) -> float:
+    e = math.frexp(ct)[1]
+    return float(np.sum(_radii(pos, e) <= math.ldexp(r, -e)))
 
 
 def _radial_counts(pos: np.ndarray, counts, edges: np.ndarray) -> tuple:
-    # no-switch rows are the sphere atom; conditional draws (counts None) have none
-    radii = _radii(pos) if counts is None else _radii(pos)[counts > 0]
+    # no-switch rows are the atom (none given n); radii and edges over 2^e keep every bin exact
+    e = math.frexp(edges[-1])[1]
+    radii = _radii(pos, e) if counts is None else _radii(pos, e)[counts > 0]
     atom = len(pos) - len(radii)
+    edges = np.ldexp(edges, -e)
     # array edges: numpy 2.4's sort-free uniform-bin path measured 2-4x slower
     hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1]), bins=edges)
     return hist.astype(float), atom
@@ -285,7 +289,7 @@ def estimate_ball_prob(
     if r >= p.c * t:  # ct = inf raises in the sampler
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
-    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r), workers=workers)
+    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r, p.c * t), workers=workers)
     return _mean_with_error(hits, hits, cfg.samples)  # an indicator is its own square
 
 

@@ -10,7 +10,6 @@ sums to a term below 1e-14 within 400 terms; `_quad` is the one integrator.  Nei
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 
@@ -166,14 +165,7 @@ def hyp5f4_unit(k: int) -> float:
     """
     if k < 0:
         raise DomainError(f"hyp5f4_unit requires k >= 0, got {k}")
-    return _hyp5f4_unit(k)
-
-
-# Callers ask for k below their series' term budget, so the cache stays small.
-@functools.cache
-def _hyp5f4_unit(k: int) -> float:
-    total = 0.0
-    term = 1.0
+    total, term = 0.0, 1.0
     for j in range(k + 1):
         total += term
         if j < k:

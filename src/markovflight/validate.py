@@ -324,6 +324,7 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
     a getter for that pass's per-chunk radial counts."""
     lt = p.lam * t
     ct = p.c * t
+    e = math.frexp(ct)[1]
     n = cfg.samples
     alpha = 2.0
     r = 0.5 * p.c * t
@@ -385,9 +386,9 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
         (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos, alpha), uncond),
         (f"mc_atom_fraction_t{t:g}",
          lambda pos, ns: montecarlo._radial_counts(pos, ns, edges), atom),
-        (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r), ball),
+        (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r, ct), ball),
         (f"mc_support_t{t:g}",
-         lambda pos, _: float(montecarlo._radii(pos).max()) / ct, support),
+         lambda pos, _: float(montecarlo._radii(pos, e).max()) / math.ldexp(ct, -e), support),
         (f"mc_switch_chisquare_t{t:g}", lumped, chisq),
         (f"mc_mean_position_t{t:g}",
          lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),

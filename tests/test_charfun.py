@@ -3,7 +3,10 @@
 h1 is rebuilt in the test from mpmath's sine/cosine integrals; h2/h3 carry
 frozen regression values (checked against conditional Monte Carlo in the
 acceptance tests) plus structural properties: value 1 at zero frequency,
-|H| <= 1, continuity across the small-argument guard.
+|H| <= 1, continuity across the small-argument guard.  They are also pinned
+to the same Bessel series in 40-digit mpmath, its coefficients summed there
+from their terminating sums, and the series kernel `charfun._term` must sum
+to h0 and h1 at n = 0 and 1.
 """
 import math
 
@@ -21,6 +24,7 @@ from markovflight import (
     h_asymptotic,
     specfun,
 )
+from markovflight import charfun
 from markovflight.errors import DomainError, TruncationNotConverged
 
 P = FlightParams(c=5.0, lam=2.0)
@@ -158,6 +162,55 @@ class TestH2H3:
         # tiny terms, before they peak, and return about -1e-18
         with pytest.raises(TruncationNotConverged):
             fn(query_for_x(x), P)
+
+
+def h_reference(n: int, x: float) -> float:
+    """H_n(x), n = 2 or 3, as sum_k n! sqrt(pi) 2^-n a_{n+1,k} (x/2)^(k-n/2)
+    J_{k+n/2}(x) / Gamma(k+(n+1)/2) in mpmath at 40 digits, with the arctan^3
+    coefficient a_{3,k} = Gamma(k+1/2) 5F4(k) / (k! sqrt(pi) (2k+1)) from the
+    terminating 5F4 sum and a_{4,k} = (pi/2) gamma_k from its gamma sum.
+    """
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        x = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for k in range(400):
+            if n == 2:
+                f5, term = mpmath.mpf(0), mpmath.mpf(1)
+                for j in range(k + 1):
+                    f5 += term
+                    term *= (1 + j) ** 3 * (j - k) * (j - k - half) / (
+                        (j - k + half) ** 2 * (j + 1 + half) * (j + 2) * (j + 1))
+                a = mpmath.gamma(k + half) * f5 / (mpmath.factorial(k) * mpmath.sqrt(mpmath.pi) * (2 * k + 1))
+            else:
+                gamma_k = mpmath.fsum(
+                    mpmath.factorial(l) * mpmath.factorial(k - l)
+                    / ((l + 1) * mpmath.gamma(l + 1 + half) * mpmath.gamma(k - l + 1 + half))
+                    for l in range(k + 1)
+                ) / (k + 2)
+                a = mpmath.pi / 2 * gamma_k
+            term = (mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / 2**n * a * (x / 2) ** (k - n * half)
+                    * mpmath.besselj(k + n * half, x) / mpmath.gamma(k + (n + 1) * half))
+            total += term
+            if k > x and abs(term) < mpmath.mpf(10) ** -30:
+                return float(total)
+        raise AssertionError(f"reference H{n} did not converge at x={x}")
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 3.0, 5.0, 10.0, 15.0])
+@pytest.mark.parametrize("n,fn", [(2, h2_series), (3, h3_series)], ids=["H2", "H3"])
+def test_series_match_the_mpmath_reference(n, fn, x):
+    assert abs(fn(query_for_x(x), P) - h_reference(n, x)) <= 2e-15
+
+
+@pytest.mark.parametrize("n,fn", [(0, h0), (1, h1)], ids=["H0", "H1"])
+def test_series_kernel_sums_to_the_closed_forms(n, fn):
+    # the k = 0 terms of H_2 and H_3 are h_asymptotic's leading shapes; at
+    # n = 0 and 1 the same kernel must sum to sin(x)/x and h1
+    xs = np.concatenate([np.geomspace(1e-8, 10.0, 80)[1:], np.linspace(0.1, 10.0, 100)])
+    for x in map(float, xs):
+        series = specfun.sum_series(f"H{n}", lambda k: charfun._term(n, k, x), past=x)
+        assert abs(series - fn(query_for_x(x), P)) <= 1e-14, x
 
 
 # the quartic Taylor polynomials once used below x = 1e-3, kept as an oracle

@@ -147,6 +147,21 @@ class TestRadii:
         assert np.array_equal(montecarlo._radii(pos), np.linalg.norm(pos, axis=1))
 
 
+@pytest.mark.parametrize("scale", [2.0**664, 2.0**-664], ids=["huge_c", "tiny_c"])
+def test_estimates_where_ct_squared_leaves_the_float_range(scale):
+    # the endpoints are exactly `scale` times those at c = 1; unscaled squares
+    # overflowed (all mass in the last bin, P = 0.0) or underflowed (all mass
+    # in the first bin, P = 1.0)
+    cfg = McConfig(10_000, 7)
+
+    def estimates(c):
+        p = FlightParams(c, 1.0)
+        hist = radial_histogram(1.0, p, cfg, bins=4)
+        return hist.masses.tolist(), hist.atom_fraction, estimate_ball_prob(c / 2, 1.0, p, cfg).mean
+
+    assert estimates(scale) == estimates(1.0)
+
+
 class TestSubstream:
     def test_reproducible(self):
         a = substream(7, 3).uniform(size=5)
