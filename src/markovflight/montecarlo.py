@@ -6,10 +6,12 @@ direction drawn uniformly on the unit sphere.  Conditioned on N(t) = n the
 switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  The
 batch samplers draw exactly that many segments per path, laid end to end in
-one flat array, and add each path's segments with np.add.reduceat, one block
-of whole paths at a time.  Longitudes and characteristic-function terms get
-their cosine and sine from one vectorised tan by the half-angle identities
-(`_cos_sin`), within 2.6e-16 of the exact values.
+one flat array, and add each path's segments one block of whole paths at a
+time, each coordinate column with its own 1-D np.add.reduceat.  The uniforms
+are random() scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat
+hold the GIL, so chunks on two threads would take turns.  Longitudes and
+characteristic-function terms get their cosine and sine from one vectorised
+tan by the half-angle identities (`_cos_sin`), within 2.6e-16 of the exact values.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
@@ -92,20 +94,6 @@ def _radii(pos: np.ndarray, e: int = 0) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def _unit_vectors(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Points on S^2 at cos(colatitude) z and longitude phi; shape (len(z), 3).
-
-    With z uniform on [-1, 1] and phi uniform on [0, 2 pi) they are uniform.
-    """
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    cos_phi, sin_phi = _cos_sin(phi)
-    out = np.empty((len(z), 3))
-    np.multiply(s, cos_phi, out=out[:, 0])
-    np.multiply(s, sin_phi, out=out[:, 1])
-    out[:, 2] = z
-    return out
-
-
 def _check_draw(t: float, p: FlightParams, segments: float) -> None:
     """Raise unless t is in the domain, ct is finite and segments <= _MAX_SEGMENTS."""
     check_time(t)
@@ -120,10 +108,13 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     Row i has counts[i] + 1 segments, all rows laid end to end.  A row's
     segment lengths are its standard exponentials scaled to sum to t: the
     gaps between n sorted uniform epochs on (0, t) have exactly that law.
-    Nothing is sorted, so no rounding can reorder epochs into a negative
-    segment, and each row's length sums to ct up to rounding.  Every draw is
-    made first; the rest runs over blocks of _BLOCK whole paths, and each
-    row is reduced over the same segments as in one whole-array pass.
+    Directions are uniform on S^2: cos(colatitude) uniform on [-1, 1] and
+    longitude on [0, 2 pi).  Nothing is sorted, so no rounding can reorder
+    epochs into a negative segment, and each row's length sums to ct up to
+    rounding.  Every draw is made first; the rest runs over blocks of _BLOCK
+    whole paths.  A contiguous column's 1-D reduceat groups each row as the
+    2-D reduceat over axis 0 does, so every row is the whole-array sum bit
+    for bit, and unlike the 2-D one it releases the GIL.
     """
     size = len(counts)
     if size == 0:
@@ -133,17 +124,22 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     starts = ends - segments
     total = int(ends[-1])
     gaps = rng.standard_exponential(total)
-    z = rng.uniform(-1.0, 1.0, total)
-    phi = rng.uniform(0.0, 2.0 * math.pi, total)
+    # random() scaled, not uniform(), which holds the GIL: uniform is low + range * random()
+    z, phi = rng.random(total), rng.random(total)
+    z *= 2.0
+    z -= 1.0
+    phi *= 2.0 * math.pi
     out = np.empty((size, 3))
     for i in range(0, size, _BLOCK):
         j = min(i + _BLOCK, size)
         lo, hi = starts[i], ends[j - 1]
         rows = starts[i:j] - lo
-        steps = _unit_vectors(z[lo:hi], phi[lo:hi])
-        steps *= gaps[lo:hi, None]
-        scale = (p.c * t) / np.add.reduceat(gaps[lo:hi], rows)
-        np.multiply(np.add.reduceat(steps, rows, axis=0), scale[:, None], out=out[i:j])
+        gap, zb = gaps[lo:hi], z[lo:hi]
+        scale = (p.c * t) / np.add.reduceat(gap, rows)
+        s = np.sqrt(np.maximum(0.0, 1.0 - zb * zb))
+        cos_phi, sin_phi = _cos_sin(phi[lo:hi])
+        for k, col in enumerate((s * cos_phi * gap, s * sin_phi * gap, zb * gap)):
+            np.multiply(np.add.reduceat(col, rows), scale, out=out[i:j, k])
     return out
 
 

@@ -441,11 +441,15 @@ def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
     worst_mean = float(np.max(np.abs(sum(sums) / (n * ct))))
     z = np.concatenate(zs)
     del zs
-    # two-sided KS distance of z from U(-1, 1), as scipy.stats.kstest takes it
+    # two-sided KS distance of z from U(-1, 1), as scipy.stats.kstest takes it, in place
     z.sort()
-    cdf = (z + 1.0) / 2.0
+    z += 1.0
+    z /= 2.0
     steps = np.arange(n + 1.0) / n
-    pvalue = _ks_pvalue(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])), n)
+    gap = steps[1:] - z
+    d_plus = np.max(gap)
+    np.subtract(z, steps[:-1], out=gap)
+    pvalue = _ks_pvalue(max(d_plus, np.max(gap)), n)
     return [
         (worst_mean, 0.0, 4.0 / math.sqrt(n)),
         _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),

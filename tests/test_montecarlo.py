@@ -129,10 +129,9 @@ class TestCosSin:
                 assert abs(s - mpmath.sin(x)) <= 3e-16
 
     def test_unit_vectors_have_norm_one(self):
-        rng = substream(SEED, 71)
-        z = rng.uniform(-1.0, 1.0, 10**6)
-        v = montecarlo._unit_vectors(z, rng.uniform(0.0, 2.0 * math.pi, 10**6))
-        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-15
+        # a path with no switch ends at ct times its one direction
+        pos = sample_positions_given_n(0, T, P, 10**6, substream(SEED, 71))
+        assert np.max(np.abs(np.linalg.norm(pos / CT, axis=1) - 1.0)) <= 1e-15
 
 
 class TestRadii:
@@ -312,6 +311,23 @@ class TestBlockedEndpoints:
         counts = rng.poisson(P_DENSE.lam * T_DENSE, 5000)
         assert np.array_equal(ns, counts)
         assert np.array_equal(pos, whole_array_endpoints(counts, T_DENSE, P_DENSE, rng))
+
+
+class _NoUniform(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("Generator.uniform holds the GIL")
+
+
+def test_kernel_draws_without_uniform():
+    # the kernel's scaled random() is uniform() bit for bit, long paths at the block edges included
+    block = montecarlo._BLOCK
+    counts = substream(SEED, 46).poisson(3.0, 3 * block + 5)
+    for edge in (block, 2 * block, 3 * block):
+        counts[edge - 2:edge + 2] = [17, 40, 1, 25]
+    key = np.array([SEED, 47], np.uint64)
+    got = montecarlo._endpoints(counts, T_DENSE, P_DENSE, _NoUniform(np.random.Philox(key=key)))
+    want = whole_array_endpoints(counts, T_DENSE, P_DENSE, substream(SEED, 47))
+    assert np.array_equal(got, want)
 
 
 class TestDefaultWorkers:
