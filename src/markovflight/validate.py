@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
-# radial bins on [0, ct] of the atom and mixture rows
-_BINS = 20
 
 
 def _passes(lhs: float, rhs: float, tolerance: float) -> bool:
@@ -319,16 +317,15 @@ def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
     ))))
 
 
-def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
-    """The unconditional rows at t, read from one pass over its stream, and
-    a getter for that pass's per-chunk radial counts."""
+def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
+    """The unconditional rows at t, read from one pass over its stream."""
     lt = p.lam * t
     ct = p.c * t
     e = math.frexp(ct)[1]
     n = cfg.samples
     alpha = 2.0
     r = 0.5 * p.c * t
-    edges = np.linspace(0.0, ct, _BINS + 1)
+    edges = np.linspace(0.0, ct, 21)  # 20 radial bins on [0, ct]
 
     def uncond(parts):
         est = montecarlo._cf_estimate(parts, n)
@@ -368,7 +365,8 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
         # lump the tail so the tail bucket's expected count stays >= 5
         tail_small = np.flatnonzero(n * (1.0 - np.cumsum(pmf)) < 5.0)
         k_hi = int(tail_small[0]) if tail_small.size else len(counts) - 1
-        k_hi = max(k_hi, 2)
+        if k_hi == 0:  # even N >= 1 expects fewer than 5 paths: no chi-square exists
+            return _bound(0.0, detail="bins=1")
         observed = np.append(counts[:k_hi], counts[k_hi:].sum())
         expected = np.append(pmf[:k_hi] * n, n * (1.0 - pmf[:k_hi].sum()))
         stat, pval = _chisquare(observed, expected)
@@ -394,40 +392,10 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> tuple:
          lambda pos, _: np.stack([pos.sum(axis=0), (pos * pos).sum(axis=0)]), mean_pos),
     ]
     columns = _pass(t, p, cfg, [stat for _, stat, _ in table])
-    rows = [
+    return [
         (name, lambda k=k, finish=finish: finish(columns()[k]))
         for k, (name, _, finish) in enumerate(table)
     ]
-    return rows, lambda: columns()[1]
-
-
-def _mixture(p: FlightParams, t0: float, cfg: McConfig, edges, cond_passes, radial_parts) -> tuple:
-    # mixing the conditional samplers over Poisson weights must reproduce
-    # the unconditional radial histogram bin by bin; n = 1..3 come from the
-    # conditional-CF passes, the rarer counts from streams sized by weight
-    # and capped at cfg.samples
-    unc = montecarlo._radial_histogram(edges, radial_parts, cfg.samples).masses
-    lt = p.lam * t0
-    # the pmf runs far enough past n_hi that its tail sum is P{N > n_hi}
-    pmf = _poisson_pmf(np.arange(32 + math.ceil(lt + 10.0 * math.sqrt(lt))), lt)
-    n_hi = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-6)) + 1
-    mix = np.zeros(_BINS)
-    var_mix = np.zeros(_BINS)
-    sizes = []
-    radial = [lambda pos, _: montecarlo._radial_counts(pos, None, edges)]
-    for n in range(1, n_hi + 1):
-        size = cfg.samples if n in cond_passes else min(
-            cfg.samples, max(montecarlo._MIN_CF_SAMPLES, math.ceil(cfg.samples * pmf[n] / pmf[3]))
-        )
-        columns = cond_passes.get(n) or _pass(t0, p, _keyed(cfg, n, size), radial, condition=n)
-        masses = montecarlo._radial_histogram(edges, columns()[-1], size).masses
-        mix += pmf[n] * masses
-        var_mix += (pmf[n] ** 2) * masses * (1.0 - masses) / size
-        sizes.append(f"{size:.3g}".replace("e+0", "e").replace("e+", "e"))
-    se_unc = np.sqrt(unc * (1.0 - unc) / cfg.samples)
-    tol_bins = 3.0 * np.sqrt(se_unc**2 + var_mix) + pmf[n_hi + 1 :].sum() + 1e-12
-    margin = float(np.max(np.abs(unc - mix) - tol_bins))
-    return _bound(margin, detail=f"worst bin margin {margin:.3g}; n=1..{n_hi}: {','.join(sizes)}")
 
 
 def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
@@ -471,11 +439,8 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     xs = (0.3, 0.5, 1.0, 2.0, 3.0)
     alphas = [x / (p.c * t0) for x in xs]
-    edges = np.linspace(0.0, p.c * t0, _BINS + 1)
-    # one pass per switch count n, keyed seed + n, gives the CF sums at every
-    # frequency and, last, the radial histogram the mixture row reads
+    # one pass per switch count n, keyed seed + n, gives the CF sums at every frequency
     stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
-    stats_n.append(lambda pos, ns: montecarlo._radial_counts(pos, ns, edges))
     passes = {
         n: _pass(t0, p, _keyed(cfg, n, cfg.samples), stats_n, condition=n)
         for n in (1, 2, 3)
@@ -488,7 +453,7 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
 
     def imag_symmetry():
         imags = [montecarlo._cf_estimate(parts, cfg.samples).imag
-                 for n in (1, 2, 3) for parts in passes[n]()[:len(xs)]]
+                 for n in (1, 2, 3) for parts in passes[n]()]
         worst = max([0.0] + [abs(e.mean) / e.std_error for e in imags if e.std_error > 0])
         return _bound(worst - 3.0, detail=f"worst |imag|/se = {worst:.3f}")
 
@@ -498,12 +463,9 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
         for j, x in enumerate(xs)
     ]
     rows.append(("mc_cf_imag_symmetry", imag_symmetry))
-    rows_t0, radial_t0 = _mc_rows_at(p, t0, cfg)
-    rows += rows_t0
-    for t in t_list[1:]:
-        rows += _mc_rows_at(p, t, cfg)[0]
+    for t in t_list:
+        rows += _mc_rows_at(p, t, cfg)
     return rows + [
-        ("mc_mixture_coherence", lambda: _mixture(p, t0, cfg, edges, passes, radial_t0())),
         (("mc_direction_component_means", "mc_direction_ks_uniform"),
          lambda: _directions(p, t0, cfg)),
         (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
@@ -536,7 +498,7 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
     subset.  The full default suite uses 1e6 samples per estimate and a fixed
     seed, so it is deterministic as well; it needs at least 1e4 samples.
     Inputs are checked before any row runs: an empty t_list, a t that is not
-    finite and > 0, or too few samples raise DomainError.
+    finite and > 0, two t with one row-name tag, or too few samples raise DomainError.
     """
     if p is None:
         p = FlightParams(c=5.0, lam=2.0)
@@ -548,6 +510,8 @@ def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
         raise DomainError("t_list needs at least one t")
     for t in t_list:
         check_time(t)
+    if len({f"{t:g}" for t in t_list}) < len(t_list):
+        raise DomainError(f"two t values give the same row names: {list(t_list)}")
     if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
         raise DomainError(
             f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"

@@ -76,7 +76,6 @@ FULL_NAMES = QUICK_NAMES + [
     "mc_support_t0.1",
     "mc_switch_chisquare_t0.1",
     "mc_mean_position_t0.1",
-    "mc_mixture_coherence",
     "mc_direction_component_means",
     "mc_direction_ks_uniform",
     "mc_determinism_rerun",
@@ -249,15 +248,35 @@ class TestRunSuite:
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
 
-    def test_mixture_streams_capped_at_large_lambda_t(self):
-        # uncapped, the weight-sized n >= 4 streams would ask for 3.6e9 draws
-        # here, and n_hi = 46 needs a Poisson pmf table longer than 32
+    @pytest.mark.parametrize("lam", [1e-2, 1e-9])
+    def test_full_suite_passes_at_small_lambda_t(self, lam):
+        # a mixture row once failed a correct sampler here on its plug-in
+        # variance, and at 1e-9 a forced third chi-square bucket expected 0 paths
+        cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_suite(FlightParams(c=5.0, lam=lam), (0.1,), cfg)
+        assert [r.name for r in reports] == FULL_NAMES
+        assert [r.name for r in reports if not r.passed] == []
+        assert all(math.isfinite(r.lhs) for r in reports)
+
+    def test_draws_do_not_grow_with_lambda_t(self, monkeypatch):
+        # a weight-sized stream for each n from 4 to 46 was once drawn at lam t = 20
+        drawn = []  # the sizes asked for; list.append is atomic across the chunk threads
+
+        def counting(sampler):
+            return lambda *args: drawn.append(args[-2]) or sampler(*args)
+
+        for name in ("sample_positions", "sample_positions_given_n"):
+            monkeypatch.setattr(montecarlo, name, counting(getattr(montecarlo, name)))
         cfg = McConfig(samples=10**4, seed=DEFAULT_SEED)
-        reports = run_suite(FlightParams(c=5.0, lam=20.0), (1.0,), cfg)
-        mixture = next(r for r in reports if r.name == "mc_mixture_coherence")
-        assert mixture.detail.startswith("worst bin margin"), mixture.detail
-        sizes = [float(s) for s in mixture.detail.split(": ")[1].split(",")]
-        assert len(sizes) > 20 and max(sizes) <= cfg.samples
+        totals = []
+        for p, t in ((FlightParams(c=5.0, lam=2.0), 0.1), (FlightParams(c=5.0, lam=20.0), 1.0)):
+            drawn.clear()
+            reports = run_suite(p, (t,), cfg)
+            assert all(math.isfinite(r.lhs) for r in reports), p
+            totals.append(sum(drawn))
+        assert totals[0] == totals[1]
 
     def test_largest_seed_runs_every_row(self):
         # the conditional streams are keyed seed + n, which wraps modulo 2^64
@@ -286,7 +305,6 @@ class TestRunSuite:
             "mc_support_t0.1",
             "mc_switch_chisquare_t0.1",
             "mc_mean_position_t0.1",
-            "mc_mixture_coherence",
             "mc_direction_component_means",
             "mc_direction_ks_uniform",
             "mc_determinism_rerun",
@@ -301,7 +319,10 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(cfg=McConfig(samples=montecarlo._MIN_CF_SAMPLES - 1, seed=1))
 
-    @pytest.mark.parametrize("t_list", [(), (0.0,), (-0.1,), (math.nan,), (math.inf,)])
+    @pytest.mark.parametrize("t_list", [
+        (), (0.0,), (-0.1,), (math.nan,), (math.inf,),
+        (0.1, 0.1000001), (0.1, 0.1),  # one row-name tag for two t
+    ])
     def test_bad_times_raise_before_any_row(self, monkeypatch, t_list):
         monkeypatch.setattr(validate, "_run", None)
         with pytest.raises(DomainError):
@@ -397,11 +418,10 @@ def counted_suite():
 class TestSinglePass:
     def test_each_stream_is_drawn_once(self, counted_suite):
         # one unconditional pass plus three determinism runs; one pass per
-        # switch count n = 1..3, which the mixture reuses, plus its streams
-        # for n = 4..6 at the 1e4 floor, and the direction rows' 1e6 paths given n = 0
+        # switch count n = 1..3, and the direction rows' 1e6 paths given n = 0
         _, drawn = counted_suite
         assert drawn == {
-            "sample_positions": 4 * 10**5, "sample_positions_given_n": 33 * 10**4 + 10**6,
+            "sample_positions": 4 * 10**5, "sample_positions_given_n": 3 * 10**5 + 10**6,
         }
 
     def test_rows_equal_the_public_estimators(self, counted_suite):
@@ -462,7 +482,7 @@ class TestStatisticsMatchScipyStats:
             return chisquare(observed, expected)
 
         monkeypatch.setattr(validate, "_chisquare", recording)
-        rows, _ = validate._mc_rows_at(P, 0.1, self.SUITE_CFG)
+        rows = validate._mc_rows_at(P, 0.1, self.SUITE_CFG)
         dict(rows)["mc_switch_chisquare_t0.1"]()
         [(observed, expected)] = seen
         assert len(observed) >= 3
