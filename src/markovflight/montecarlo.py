@@ -15,8 +15,8 @@ tan by the half-angle identities (`_cos_sin`), within 2.6e-16 of the exact value
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
-process may use unless `workers` says otherwise; their results are reduced in
-index order, so estimates are bit-identical for any worker count.  The suite
+process may use (set from outside, as by taskset); their results are reduced in
+index order, so estimates are bit-identical for any CPU count.  The suite
 in `validate` reduces its passes with the same private per-chunk statistics.
 """
 from __future__ import annotations
@@ -167,27 +167,21 @@ def sample_positions(
     return _endpoints(counts, t, p, rng), counts
 
 
-def _workers(workers: Optional[int] = None) -> int:
-    """The thread count a Monte Carlo call uses: workers, or by default every
-    CPU this process may run on.  Raises DomainError for workers < 1."""
-    if workers is not None:
-        if workers < 1:
-            raise DomainError(f"workers must be >= 1, got {workers}")
-        return workers
+def _workers() -> int:
+    """The thread count a Monte Carlo call uses: every CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _per_chunk(
-    t: float, p: FlightParams, cfg: McConfig, fn,
-    condition: Optional[int] = None, workers: Optional[int] = None,
+    t: float, p: FlightParams, cfg: McConfig, fn, condition: Optional[int] = None
 ) -> list:
     """fn(positions, counts) of every chunk of the (seed, k) stream, in chunk order.
 
     Chunk k is drawn once from substream(cfg.seed, k); with condition=n it
     is drawn given exactly n switches and counts is None.  Chunks run on
-    _workers(workers) threads; fn must be safe to call from any of them.
+    _workers() threads; fn must be safe to call from any of them.
     """
     full, rem = divmod(cfg.samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rem] if rem else [])
@@ -198,7 +192,7 @@ def _per_chunk(
             return fn(*sample_positions(t, p, size, rng))
         return fn(sample_positions_given_n(condition, t, p, size, rng), None)
 
-    workers = min(_workers(workers), len(sizes))
+    workers = min(_workers(), len(sizes))
     if workers <= 1:
         return [one(i, s) for i, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -252,12 +246,7 @@ def _radial_histogram(edges: np.ndarray, parts, n: int) -> RadialHistogram:
 
 
 def estimate_cf(
-    alpha_norm: float,
-    t: float,
-    p: FlightParams,
-    cfg: McConfig,
-    condition: Optional[int] = None,
-    workers: Optional[int] = None,
+    alpha_norm: float, t: float, p: FlightParams, cfg: McConfig, condition: Optional[int] = None
 ) -> CfEstimate:
     """Empirical characteristic function at alpha = (alpha_norm, 0, 0).
 
@@ -271,31 +260,23 @@ def estimate_cf(
     check_radius(alpha_norm, name="alpha_norm")
     # charfun._x's rule; it also keeps every projection alpha x_1 finite for the tan
     check_radius(p.c * t * alpha_norm, name="x = c t ||alpha||")
-    parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), condition, workers)
+    parts = _per_chunk(t, p, cfg, lambda pos, _: _cf_sums(pos, alpha_norm), condition)
     return _cf_estimate(parts, cfg.samples)
 
 
-def estimate_ball_prob(
-    r: float, t: float, p: FlightParams, cfg: McConfig, workers: Optional[int] = None
-) -> McEstimate:
+def estimate_ball_prob(r: float, t: float, p: FlightParams, cfg: McConfig) -> McEstimate:
     """Fraction of endpoints with ||X|| <= r, with its binomial standard error."""
     check_time(t)
     check_radius(r)
-    workers = _workers(workers)
     if r >= p.c * t:  # ct = inf raises in the sampler
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
-    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r, p.c * t), workers=workers)
+    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r, p.c * t))
     return _mean_with_error(hits, hits, cfg.samples)  # an indicator is its own square
 
 
 def radial_histogram(
-    t: float,
-    p: FlightParams,
-    cfg: McConfig,
-    bins: int,
-    condition: Optional[int] = None,
-    workers: Optional[int] = None,
+    t: float, p: FlightParams, cfg: McConfig, bins: int, condition: Optional[int] = None
 ) -> RadialHistogram:
     """Empirical radial mass per bin on [0, ct], atom mass reported separately.
 
@@ -306,13 +287,10 @@ def radial_histogram(
     """
     check_time(t)
     check_radius(p.c * t, name="ct")  # the edges span [0, ct]
-    workers = _workers(workers)
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, p.c * t, bins + 1)
     if condition == 0:
         return RadialHistogram(edges=edges, masses=np.zeros(bins), atom_fraction=1.0)
-    parts = _per_chunk(
-        t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges), condition, workers
-    )
+    parts = _per_chunk(t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges), condition)
     return _radial_histogram(edges, parts, cfg.samples)

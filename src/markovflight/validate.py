@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import arctan_series, charfun, density, montecarlo, specfun
-from .errors import DomainError, NonFinite
+from .errors import DomainError
 from .model import FlightParams, McConfig, check_radius, check_time, switch_weights
 
 __all__ = [
@@ -94,52 +94,44 @@ def _poisson_pmf(k, mu: float) -> np.ndarray:
     return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
 
 
-def _integrate(lt: float, rho: float, tol: float, term=None) -> float:
-    """Integral over [0, rho ct] of 4 pi s^2 ac_density(s), or with term in {"log",
-    "sqrt", "const"} of that bracket alone (no exponential prefactor), to within
-    tol.  In rho = s/ct bracket n is (lam t)^n/n! times a shape of mass 1 on [0, 1)."""
+# Bracket n of the density in rho = s/ct is (lam t)^n/n! times a shape of mass 1
+# on [0, 1): (integrand, upper limit of its variable at rho).  Gauss nodes are
+# interior, so none lands on rho = 0 or on the log's rho = 1; after rho = sin(theta)
+# the inverse-square-root factor cancels exactly.
+_SHAPES = {
+    "log": (lambda x: x * np.log((1.0 + x) / (1.0 - x)), lambda rho: rho),
+    "sqrt": (lambda theta: 4.0 / math.pi * np.sin(theta) ** 2, math.asin),
+    "const": (lambda x: 3.0 * x * x, lambda rho: rho),
+}
+
+
+def _shape_masses(rho: float, tol: float) -> list:
+    """The mass of each shape inside rho, each to within tol."""
+    return [specfun._quad(f, 0.0, upper(rho), tol) for f, upper in _SHAPES.values()]
+
+
+def _integrate(lt: float, rho: float, tol: float) -> float:
+    """Integral over [0, rho ct] of 4 pi s^2 ac_density(s) to within tol:
+    sum_n P{N=n} times the mass of shape n inside rho."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    # Gauss nodes are interior: none lands on rho = 0 or on the log's rho = 1;
-    # after rho = sin(theta) the inverse-square-root factor cancels exactly
-    spans = {
-        "log": (lambda x: x * np.log((1.0 + x) / (1.0 - x)), 0.0, rho),
-        "sqrt": (lambda theta: 4.0 / math.pi * np.sin(theta) ** 2, 0.0, math.asin(rho)),
-        "const": (lambda x: 3.0 * x * x, 0.0, rho),
-    }
-    if term is not None:
-        if term not in spans:
-            raise DomainError(f"term must be one of {sorted(spans)}, got {term!r}")
-        n = list(spans).index(term) + 1
-        bare = math.prod([lt] * n) / math.factorial(n)
-        if bare == math.inf:
-            raise NonFinite(f"the {term} bracket overflows at lam t = {lt}")
-        return bare * specfun._quad(*spans[term], tol / max(bare, 1.0))
     # P{N=n} <= 1, so each shape to within tol/3 puts the sum within tol; the
     # weights are 0.0 from lam t = 1e308 on, and at inf the pmf's inf - inf is nan
     weights = _poisson_pmf(np.arange(1, 4), min(lt, 1e308))
-    return math.fsum(w * specfun._quad(*s, tol / 3.0) for w, s in zip(weights, spans.values()))
+    return math.fsum(w * m for w, m in zip(weights, _shape_masses(rho, tol / 3.0)))
 
 
-def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8, term=None) -> float:
-    """Radial integral of the a.c. density approximation over the whole ball.
-
-    With term=None returns the full integral of 4 pi r^2 ac_density(r), which
-    equals g_tilde(t) up to quadrature error.  With term in {"log", "sqrt",
-    "const"} returns the bare integral of that single bracket term (no
-    exponential prefactor), whose exact values are lam t, (lam t)^2/2 and
-    (lam t)^3/6 respectively.  tol bounds the error of the value returned.
-    """
+def integrate_ac_density(t: float, p: FlightParams, tol: float = 1e-8) -> float:
+    """Radial integral of 4 pi r^2 ac_density(r) over the whole ball, which
+    equals g_tilde(t) up to quadrature error; tol bounds the error of the value."""
     check_time(t)
-    return _integrate(p.lam * t, 1.0, tol, term)  # asin(1.0) is pi/2 exactly
+    return _integrate(p.lam * t, 1.0, tol)  # asin(1.0) is pi/2 exactly
 
 
 def integrate_ac_density_ball(r: float, t: float, p: FlightParams, tol: float = 1e-8) -> float:
-    """Radial integral of 4 pi s^2 ac_density(s) over [0, r], 0 < r < ct."""
+    """Radial integral of 4 pi s^2 ac_density(s) over [0, r], 0 <= r < ct."""
     check_time(t)
     check_radius(r, p.c * t)  # where c t overflows, ct exceeds every float
-    if r == 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
     # rho = r/(c t) with the powers of two apart, so c t never overflows or underflows
     (mr, er), (mc, ec), (mt, et) = map(math.frexp, (r, p.c, t))
     return _integrate(p.lam * t, math.ldexp(mr / (mc * mt), er - ec - et), tol)
@@ -191,9 +183,10 @@ def _si_cin_reference() -> list:
 
 
 def _static_rows_at(p: FlightParams, t: float) -> list:
-    lt = p.lam * t
-    # the const integral is (lam t)^3/6: its quadrature tol is relative past 1
-    const_scale = max(1.0, lt**3 / 6.0)
+    def mass_tol() -> float:
+        # each shape is within tol/3 and the weights sum to g_tilde, so the quadrature
+        # is within (tol/3) g_tilde; a flat 1e-6 passed a 1% error in P_2 at lam t = 1e-3
+        return 1e-6 * density.g_tilde(t, p)
 
     def ball_limit():
         val = density.ball_prob_asymptotic(np.nextafter(p.c * t, 0.0), t, p)
@@ -204,21 +197,15 @@ def _static_rows_at(p: FlightParams, t: float) -> list:
         return _bound(-float(np.min(np.diff(prof.values))))
 
     rows = [
-        (f"est_log_term_t{t:g}",
-         lambda: (integrate_ac_density(t, p, 1e-9, term="log"), lt, 1e-8)),
-        (f"est_sqrt_term_t{t:g}",
-         lambda: (integrate_ac_density(t, p, 1e-9, term="sqrt"), lt * lt / 2.0, 1e-8)),
-        (f"est_const_term_t{t:g}",
-         lambda: (integrate_ac_density(t, p, 1e-11 * const_scale, term="const"),
-                  lt**3 / 6.0, 1e-10)),
         (f"est_full_vs_gtilde_t{t:g}",
-         lambda: (integrate_ac_density(t, p), density.g_tilde(t, p), 1e-6)),
+         lambda: (integrate_ac_density(t, p), density.g_tilde(t, p), mass_tol())),
     ]
     for ratio in (0.2, 0.5, 0.8, 0.95):
         rows.append((
             f"ball_series_vs_quadrature_t{t:g}_r{ratio:g}",
             lambda r=ratio * p.c * t: (
-                density.ball_prob_asymptotic(r, t, p), integrate_ac_density_ball(r, t, p), 1e-6
+                density.ball_prob_asymptotic(r, t, p), integrate_ac_density_ball(r, t, p),
+                mass_tol(),
             ),
         ))
     return rows + [
@@ -271,6 +258,8 @@ def _static_rows(p: FlightParams, t_list) -> list:
         ("quartic_gamma_0", lambda: (arctan_series.quartic_gamma(0), 2.0 / math.pi, 1e-14)),
         ("bessel_half_order_forms", _bessel_forms),
         (("si_against_reference", "neg_cin_against_reference"), _si_cin_reference),
+        (tuple(f"shape_mass_{name}" for name in _SHAPES),
+         lambda: [(mass, 1.0, 1e-10) for mass in _shape_masses(1.0, 1e-11)]),
     ]
     for t in t_list:
         rows += _static_rows_at(p, t)
@@ -400,8 +389,9 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
 
 def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
     # paths given no switch end at ct times the sampler's own unit vectors;
-    # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0
-    n = 10**6
+    # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0;
+    # the KS p-value is stated for 1e4 <= n <= 1e6
+    n = min(cfg.samples, 10**6)
     ct = p.c * t
     sums, zs = zip(*montecarlo._per_chunk(
         t, p, _keyed(cfg, -1, n), lambda pos, _: (pos.sum(axis=0), pos[:, 2] / ct), condition=0
@@ -421,17 +411,6 @@ def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
     return [
         (worst_mean, 0.0, 4.0 / math.sqrt(n)),
         _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),
-    ]
-
-
-def _determinism(p: FlightParams, t0: float, cfg: McConfig) -> list:
-    small = McConfig(samples=10**5, seed=cfg.seed)
-    a = montecarlo.estimate_cf(2.0, t0, p, small, workers=1)
-    b = montecarlo.estimate_cf(2.0, t0, p, small, workers=1)
-    c = montecarlo.estimate_cf(2.0, t0, p, small, workers=3)
-    return [
-        (abs(a.real.mean - b.real.mean), 0.0, 0.0),
-        (abs(a.real.mean - c.real.mean), 0.0, 0.0),
     ]
 
 
@@ -468,7 +447,6 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     return rows + [
         (("mc_direction_component_means", "mc_direction_ks_uniform"),
          lambda: _directions(p, t0, cfg)),
-        (("mc_determinism_rerun", "mc_worker_invariance"), lambda: _determinism(p, t0, cfg)),
     ]
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -5,6 +7,17 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True, deadline=None, database=None, max_examples=1000)
 
 _acceptance_lines = []
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) lets the process run on k CPUs from then on, as taskset would; the
+    Monte Carlo calls run one thread per CPU the process may use."""
+
+    def run_on(k: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return run_on
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 import markovflight as mf
+from markovflight import validate
 from markovflight.cli import main as cli_main
 from markovflight.validate import DEFAULT_SEED
 
@@ -132,17 +133,13 @@ def test_criterion_5_exact_integral_identities(acceptance_log):
     for lam in (1.0, 1.5, 2.0, 2.5):
         p = mf.FlightParams(c=5.0, lam=lam)
         for t in (0.1, 0.3, 0.5):
-            lt = lam * t
             full = mf.integrate_ac_density(t, p)
             if abs(full - mf.g_tilde(t, p)) > 1e-6:
                 failures.append(f"full lam={lam} t={t}")
-            targets = {"log": lt, "sqrt": lt * lt / 2.0, "const": lt**3 / 6.0}
-            for term, want in targets.items():
-                got = mf.integrate_ac_density(t, p, term=term)
-                if abs(got - want) > 1e-8:
-                    failures.append(
-                        f"{term} lam={lam} t={t}: |{got:.12g}-{want:.12g}|>1e-8"
-                    )
+    # bracket n is (lam t)^n/n! times a shape of mass 1 on [0, 1) in rho = r/ct
+    for name, mass in zip(validate._SHAPES, validate._shape_masses(1.0, 1e-11)):
+        if abs(mass - 1.0) > 2e-12:
+            failures.append(f"{name} shape: |{mass:.15g}-1|>2e-12")
     finish(acceptance_log, 5, "exact-integral-identities", failures)
 
 
@@ -216,7 +213,7 @@ def test_criterion_7_figure_reproduction(acceptance_log, capsys):
     finish(acceptance_log, 7, "figure-reproduction", failures)
 
 
-def test_criterion_8_simulation_soundness(acceptance_log):
+def test_criterion_8_simulation_soundness(acceptance_log, cpus):
     failures = []
     t = 0.1
     ct = P.c * t
@@ -257,9 +254,11 @@ def test_criterion_8_simulation_soundness(acceptance_log):
         failures.append(f"switch-count chi-square p={pval:.4f} < 0.01")
 
     small = mf.McConfig(samples=10**5, seed=DEFAULT_SEED)
-    runs = [mf.estimate_cf(2.0, t, P, small, workers=w) for w in (1, 2, 4)]
-    rerun = mf.estimate_cf(2.0, t, P, small, workers=1)
-    if not (runs[0] == runs[1] == runs[2] == rerun):
+    runs = []
+    for k in (1, 2, 4, 1):  # one, two and four CPUs, then one again
+        cpus(k)
+        runs.append(mf.estimate_cf(2.0, t, P, small))
+    if any(run != runs[0] for run in runs):
         failures.append("reruns not bit-identical across worker counts")
 
     finish(acceptance_log, 8, "simulation-soundness", failures)

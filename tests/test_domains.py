@@ -21,7 +21,7 @@ from markovflight import (
     FlightParams, McConfig, Vec3, g_tilde, integrate_ac_density, integrate_ac_density_ball,
 )
 from markovflight import arctan_series, charfun, density, montecarlo, specfun
-from markovflight.errors import DomainError, MarkovFlightError, NonFinite, TruncationNotConverged
+from markovflight.errors import DomainError, MarkovFlightError, TruncationNotConverged
 
 SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 ANY = st.one_of(st.floats(), SCALE)
@@ -149,11 +149,6 @@ def test_quadrature_where_c2t_overflows():
 def test_quadrature_where_lam_t_overflows():
     # the Poisson pmf's inf - inf was nan; P{N <= 3} is 0 there, as g_tilde says
     assert integrate_ac_density(1e10, FlightParams(1.0, 1e300)) == 0.0
-
-
-def test_bare_bracket_that_overflows_is_non_finite():
-    with pytest.raises(NonFinite, match="the const bracket overflows"):
-        integrate_ac_density(1.0, FlightParams(1.0, 1e103), term="const")
 
 
 def test_whole_ball_quadrature_where_ct_underflows():

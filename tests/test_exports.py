@@ -1,5 +1,6 @@
 """The package's public names: one list per module, gathered by the package."""
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -28,6 +29,42 @@ PUBLIC_NAMES = [
     "switch_tail_error",
 ]
 
+# each public function's parameter names, frozen so that no option is added or
+# dropped without this map changing with it
+PUBLIC_PARAMETERS = {
+    "ac_density": "r t p",
+    "arctan_pow": "n z",
+    "ball_prob_asymptotic": "r t p",
+    "bessel_j": "nu x",
+    "density_at": "x t p",
+    "estimate_ball_prob": "r t p cfg",
+    "estimate_cf": "alpha_norm t p cfg condition",
+    "g_exact": "t p",
+    "g_tilde": "t p",
+    "gamma_sum_identity": "n a",
+    "h0": "q p",
+    "h1": "q p",
+    "h2_series": "q p",
+    "h3_series": "q p",
+    "h_asymptotic": "q p",
+    "hyp5f4_unit": "k",
+    "integrate_ac_density": "t p tol",
+    "integrate_ac_density_ball": "r t p tol",
+    "neg_cin": "x",
+    "quartic_gamma": "k",
+    "radial_histogram": "t p cfg bins condition",
+    "radial_profile": "t p n_points r_max",
+    "report_lines": "reports",
+    "reports_to_csv": "reports",
+    "run_suite": "p t_list cfg quick",
+    "sample_positions": "t p size rng",
+    "sample_positions_given_n": "n t p size rng",
+    "si": "x",
+    "singular_weight": "t p",
+    "substream": "seed chunk_index",
+    "switch_tail_error": "t p",
+}
+
 MODULES = ["arctan_series", "charfun", "density", "errors", "model", "montecarlo", "specfun",
            "validate"]
 
@@ -35,6 +72,14 @@ MODULES = ["arctan_series", "charfun", "density", "errors", "model", "montecarlo
 def test_public_names_frozen():
     assert sorted(markovflight.__all__) == PUBLIC_NAMES
     assert len(set(markovflight.__all__)) == len(markovflight.__all__)
+
+
+def test_public_signatures_frozen():
+    public = {name: getattr(markovflight, name) for name in markovflight.__all__}
+    assert {
+        name: " ".join(inspect.signature(f).parameters)
+        for name, f in public.items() if inspect.isfunction(f)
+    } == PUBLIC_PARAMETERS
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -10,7 +10,6 @@ endpoint kernel against `whole_array_endpoints`, the same arithmetic done
 once over the whole batch.
 """
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -266,10 +265,12 @@ class TestDenseSwitching:
         radii = np.linalg.norm(pos[ns == 0], axis=1)
         assert np.allclose(radii, CT_DENSE, rtol=1e-12)
 
-    def test_histogram_worker_invariant(self):
+    def test_histogram_worker_invariant(self, cpus):
         cfg = McConfig(samples=200_000, seed=SEED)
-        a = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40, workers=1)
-        b = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40, workers=3)
+        cpus(1)
+        a = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40)
+        cpus(3)
+        b = radial_histogram(T_DENSE, P_DENSE, cfg, bins=40)
         assert np.array_equal(a.masses, b.masses)
         assert a.atom_fraction == b.atom_fraction
 
@@ -331,36 +332,38 @@ def test_kernel_draws_without_uniform():
 
 
 class TestDefaultWorkers:
-    """workers=None runs on every CPU the process may use, with the same bits."""
+    """Chunks run on every CPU the process may use, with the same bits as on one."""
 
     CFG = McConfig(samples=200_001, seed=SEED)  # four chunks, the last partial
 
     @pytest.mark.parametrize("condition", [None, 2])
-    def test_estimate_cf(self, condition):
+    def test_estimate_cf(self, cpus, condition):
         a = estimate_cf(2.0, T, P, self.CFG, condition=condition)
-        b = estimate_cf(2.0, T, P, self.CFG, condition=condition, workers=1)
-        assert a == b
+        cpus(1)
+        assert a == estimate_cf(2.0, T, P, self.CFG, condition=condition)
 
-    def test_estimate_ball_prob(self):
+    def test_estimate_ball_prob(self, cpus):
         a = estimate_ball_prob(0.25, T, P, self.CFG)
-        assert a == estimate_ball_prob(0.25, T, P, self.CFG, workers=1)
+        cpus(1)
+        assert a == estimate_ball_prob(0.25, T, P, self.CFG)
 
-    def test_radial_histogram(self):
+    def test_radial_histogram(self, cpus):
         a = radial_histogram(T_DENSE, P_DENSE, self.CFG, bins=40)
-        b = radial_histogram(T_DENSE, P_DENSE, self.CFG, bins=40, workers=1)
+        cpus(1)
+        b = radial_histogram(T_DENSE, P_DENSE, self.CFG, bins=40)
         assert np.array_equal(a.masses, b.masses)
         assert a.atom_fraction == b.atom_fraction
 
-    def chunk_threads(self, monkeypatch, cpus):
+    def chunk_threads(self, cpus, k):
         # the identity of the thread that ran each chunk
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cpus(k)
         return set(montecarlo._per_chunk(T, P, self.CFG, lambda pos, ns: threading.get_ident()))
 
-    def test_one_cpu_runs_serially(self, monkeypatch):
-        assert self.chunk_threads(monkeypatch, 1) == {threading.get_ident()}
+    def test_one_cpu_runs_serially(self, cpus):
+        assert self.chunk_threads(cpus, 1) == {threading.get_ident()}
 
-    def test_several_cpus_use_a_pool(self, monkeypatch):
-        assert threading.get_ident() not in self.chunk_threads(monkeypatch, 3)
+    def test_several_cpus_use_a_pool(self, cpus):
+        assert threading.get_ident() not in self.chunk_threads(cpus, 3)
 
 
 def test_empty_batches():
@@ -396,11 +399,6 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     lambda: estimate_ball_prob(0.1, math.inf, P, _CFG),
     lambda: radial_histogram(math.nan, P, _CFG, bins=10),
     lambda: radial_histogram(math.inf, P, _CFG, bins=10, condition=0),
-    lambda: estimate_cf(2.0, T, P, _CFG, workers=0),
-    lambda: estimate_ball_prob(0.1, T, P, _CFG, workers=-2),
-    lambda: estimate_ball_prob(CT, T, P, _CFG, workers=0),
-    lambda: radial_histogram(T, P, _CFG, bins=10, workers=0),
-    lambda: radial_histogram(T, P, _CFG, bins=10, condition=0, workers=-2),
 ], ids=[
     "sample_positions", "sample_positions_given_n", "estimate_cf",
     "estimate_conditional_cf", "estimate_ball_prob", "radial_histogram",
@@ -410,13 +408,11 @@ _CFG = McConfig(samples=10_000, seed=SEED)
     "given_n_t_nan", "given_n_t_inf", "positions_t_nan", "positions_t_inf",
     "cf_t_nan", "cf_t_inf", "ball_prob_t_nan", "ball_prob_t_inf",
     "histogram_t_nan", "histogram_no_switch_t_inf",
-    "cf_workers_0", "ball_prob_workers_-2", "ball_prob_whole_ball_workers_0",
-    "histogram_workers_0", "histogram_no_switch_workers_-2",
 ])
 def test_bad_time_or_count_is_domain_error(call):
     # numpy's own ValueError (lam < 0 or NaN, negative dimensions) must not
     # leak out, and a non-finite t, r or frequency must not give a silently
-    # wrong number; worker counts below 1 must not quietly run serially
+    # wrong number
     with pytest.raises(DomainError):
         call()
 
@@ -452,10 +448,12 @@ def test_segment_budget_is_checked_before_any_draw(call):
 class TestEstimateCf:
     CFG = McConfig(samples=50_000, seed=SEED)
 
-    def test_deterministic_and_worker_invariant(self):
-        a = estimate_cf(2.0, T, P, self.CFG, workers=1)
-        b = estimate_cf(2.0, T, P, self.CFG, workers=1)
-        c = estimate_cf(2.0, T, P, self.CFG, workers=4)
+    def test_deterministic_and_worker_invariant(self, cpus):
+        cpus(1)
+        a = estimate_cf(2.0, T, P, self.CFG)
+        b = estimate_cf(2.0, T, P, self.CFG)
+        cpus(4)
+        c = estimate_cf(2.0, T, P, self.CFG)
         assert a == b
         assert a == c
 
@@ -482,10 +480,10 @@ class TestEstimateCf:
     def test_overflowing_frequency_is_nonfinite(self):
         # x = c t alpha = inf: no mean of cos(inf) exists, so no NaN comes back
         with pytest.raises(NonFinite):
-            estimate_cf(1e308, 1.0, FlightParams(5.0, 2.0), McConfig(10_000, 1), workers=1)
+            estimate_cf(1e308, 1.0, FlightParams(5.0, 2.0), McConfig(10_000, 1))
 
     def test_huge_finite_frequency(self):
-        est = estimate_cf(1e300, T, P, McConfig(10_000, 1), workers=1)
+        est = estimate_cf(1e300, T, P, McConfig(10_000, 1))
         assert abs(est.real.mean) <= 1.0 and est.real.std_error > 0.0
 
     def test_partial_last_chunk(self):
@@ -541,9 +539,10 @@ class TestRadialHistogram:
         assert hist.atom_fraction == 0.0
         assert float(np.sum(hist.masses)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_deterministic(self):
+    def test_deterministic(self, cpus):
         a = radial_histogram(T, P, self.CFG, bins=10)
-        b = radial_histogram(T, P, self.CFG, bins=10, workers=3)
+        cpus(3)
+        b = radial_histogram(T, P, self.CFG, bins=10)
         assert np.array_equal(a.masses, b.masses)
         assert a.atom_fraction == b.atom_fraction
 

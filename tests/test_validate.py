@@ -24,7 +24,7 @@ from markovflight import (
     reports_to_csv,
     run_suite,
 )
-from markovflight import charfun, montecarlo, specfun, validate
+from markovflight import charfun, density, montecarlo, specfun, validate
 from markovflight.errors import DomainError, QuadratureNotConverged, RadiusOutsideBall
 from markovflight.model import switch_weights
 from markovflight.specfun import _quad
@@ -45,9 +45,9 @@ QUICK_NAMES = [
     "bessel_half_order_forms",
     "si_against_reference",
     "neg_cin_against_reference",
-    "est_log_term_t0.1",
-    "est_sqrt_term_t0.1",
-    "est_const_term_t0.1",
+    "shape_mass_log",
+    "shape_mass_sqrt",
+    "shape_mass_const",
     "est_full_vs_gtilde_t0.1",
     "ball_series_vs_quadrature_t0.1_r0.2",
     "ball_series_vs_quadrature_t0.1_r0.5",
@@ -78,8 +78,6 @@ FULL_NAMES = QUICK_NAMES + [
     "mc_mean_position_t0.1",
     "mc_direction_component_means",
     "mc_direction_ks_uniform",
-    "mc_determinism_rerun",
-    "mc_worker_invariance",
 ]
 
 
@@ -106,30 +104,22 @@ class TestCheckReport:
 
 
 class TestIntegrateAcDensity:
-    # exact targets: each bracket term integrates over the ball to a bare
-    # power of lam t, and the full integral carries the atom weight
+    # exact targets: bracket n is (lam t)^n/n! times a shape of mass 1 on [0, 1)
+    # in rho = r/ct, so the full integral is P{1 <= N <= 3} = g_tilde
     @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 2.5])
     @pytest.mark.parametrize("t", [0.1, 0.3, 0.5])
     def test_termwise_targets(self, lam, t):
         p = FlightParams(c=5.0, lam=lam)
-        lt = lam * t
-        assert integrate_ac_density(t, p, term="log") == pytest.approx(lt, abs=1e-8)
-        assert integrate_ac_density(t, p, term="sqrt") == pytest.approx(
-            lt * lt / 2.0, abs=1e-8
-        )
-        assert integrate_ac_density(t, p, term="const") == pytest.approx(
-            lt**3 / 6.0, abs=1e-10
-        )
+        # the default tol of 1e-8, a third to each shape
+        for mass in validate._shape_masses(1.0, 1e-8 / 3.0):
+            assert mass == pytest.approx(1.0, abs=2e-12)
+        assert integrate_ac_density(t, p) == pytest.approx(g_tilde(t, p), abs=1e-8)
 
     def test_full_integral_is_g_tilde(self):
         for t in (0.1, 0.4):
             assert integrate_ac_density(t, P) == pytest.approx(
                 g_tilde(t, P), abs=1e-6
             )
-
-    def test_invalid_term(self):
-        with pytest.raises(DomainError):
-            integrate_ac_density(0.1, P, term="cubic")
 
     def test_invalid_tol(self):
         with pytest.raises(DomainError):
@@ -138,11 +128,12 @@ class TestIntegrateAcDensity:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
     def test_termwise_targets_to_roundoff(self, lam, t):
+        # the suite's shape_mass_* tol; the full integral is within 2e-12 of g_tilde relative
+        # from lam t = 0.005, where g_tilde is 0.005, to lam t = 20, where it is 3.2e-6
         p = FlightParams(c=5.0, lam=lam)
-        lt = lam * t
-        for term, exact in (("log", lt), ("sqrt", lt * lt / 2.0), ("const", lt**3 / 6.0)):
-            got = integrate_ac_density(t, p, term=term)
-            assert abs(got - exact) <= 2e-12 * max(1.0, exact), term
+        for mass in validate._shape_masses(1.0, 1e-11):
+            assert abs(mass - 1.0) <= 2e-12
+        assert integrate_ac_density(t, p) == pytest.approx(g_tilde(t, p), rel=2e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("integrate,exact", [
@@ -209,8 +200,8 @@ class TestIntegrateAcDensityBall:
     def test_radius_domain(self):
         with pytest.raises(RadiusOutsideBall):
             integrate_ac_density_ball(0.5, 0.1, P)
-        with pytest.raises(DomainError):
-            integrate_ac_density_ball(0.0, 0.1, P)
+        # check_radius admits r = 0, where the series reads 0
+        assert integrate_ac_density_ball(0.0, 0.1, P) == ball_prob_asymptotic(0.0, 0.1, P) == 0.0
 
 
 class TestQuad:
@@ -307,8 +298,6 @@ class TestRunSuite:
             "mc_mean_position_t0.1",
             "mc_direction_component_means",
             "mc_direction_ks_uniform",
-            "mc_determinism_rerun",
-            "mc_worker_invariance",
         ):
             assert name in failed
             assert math.isnan(failed[name].lhs)
@@ -329,12 +318,40 @@ class TestRunSuite:
             run_suite(t_list=t_list)
 
     def test_quadrature_rows_at_large_lambda_t(self):
-        # at lam t = 20 the const integral is 1333; an absolute quadrature
+        # at lam t = 20 the bare const bracket was 1333; an absolute quadrature
         # tol of 1e-11 there raised on an estimate of 1.5e-11
         reports = run_suite(FlightParams(c=5.0, lam=20.0), (1.0,), quick=True)
-        est = [r for r in reports if r.name.startswith("est_")]
-        assert len(est) == 4
-        assert [r.name for r in est if not r.passed] == []
+        quad = [r for r in reports if r.name.startswith(("shape_mass_", "est_", "ball_series_"))]
+        assert len(quad) == 8
+        assert [r.name for r in quad if not r.passed] == []
+
+    def test_shape_rows_catch_a_scaled_const_shape(self, monkeypatch):
+        # at lam t = 1e-3 the const bracket is 1.7e-10: the per-t rows compared it
+        # with (lam t)^3/6 under an absolute 1e-10, and all 31 rows passed
+        f, upper = validate._SHAPES["const"]
+        monkeypatch.setitem(validate._SHAPES, "const", (lambda x: 1.5 * f(x), upper))
+        reports = run_suite(FlightParams(c=5.0, lam=1e-2), quick=True)
+        assert [r.name for r in reports if not r.passed] == ["shape_mass_const"]
+
+    def test_ball_rows_catch_a_one_percent_error_in_p2(self, monkeypatch):
+        # ball_prob_asymptotic reading P_2 1% high: at lam t = 1e-3 the r0.8 and r0.95
+        # gaps are 1.4e-9 and 3.0e-9, which a flat tol of 1e-6 passed
+        weights, ball = density.switch_weights, density.ball_prob_asymptotic
+
+        def skewed(t, p):
+            w0, w1, w2, w3, tail = weights(t, p)
+            return w0, w1, 1.01 * w2, w3, tail
+
+        def skewed_ball(r, t, p):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(density, "switch_weights", skewed)
+                return ball(r, t, p)
+
+        monkeypatch.setattr(density, "ball_prob_asymptotic", skewed_ball)
+        reports = run_suite(FlightParams(c=5.0, lam=1e-2), quick=True)
+        assert [r.name for r in reports if not r.passed] == [
+            "ball_series_vs_quadrature_t0.1_r0.8", "ball_series_vs_quadrature_t0.1_r0.95",
+        ]
 
     def test_asymptotic_rows_pass_at_large_lambda(self):
         # the bound on h_asymptotic's remainder scales with lam; a flat 5 t^3
@@ -417,12 +434,10 @@ def counted_suite():
 
 class TestSinglePass:
     def test_each_stream_is_drawn_once(self, counted_suite):
-        # one unconditional pass plus three determinism runs; one pass per
-        # switch count n = 1..3, and the direction rows' 1e6 paths given n = 0
+        # one unconditional pass; one pass per switch count n = 1..3, and the
+        # direction rows' min(samples, 1e6) paths given n = 0
         _, drawn = counted_suite
-        assert drawn == {
-            "sample_positions": 4 * 10**5, "sample_positions_given_n": 3 * 10**5 + 10**6,
-        }
+        assert drawn == {"sample_positions": 10**5, "sample_positions_given_n": 4 * 10**5}
 
     def test_rows_equal_the_public_estimators(self, counted_suite):
         reports, _ = counted_suite
@@ -440,11 +455,11 @@ class TestSinglePass:
         )
 
 
-def test_csv_bytes_equal_on_one_and_three_workers(monkeypatch):
+def test_csv_bytes_equal_on_one_and_three_workers(cpus):
     # what CI checks by running the suite on every core and under taskset -c 0
     csvs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(montecarlo, "_workers", lambda _=None, w=workers: w)
+    for k in (1, 3):
+        cpus(k)
         csvs.append(reports_to_csv(run_suite(cfg=MC_CFG)))
     assert csvs[0] == csvs[1]
 
