@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, InvalidParameter, NonFinite, UnsupportedPower
+from .errors import DomainError, NonFinite
+from .model import check_count
 from .specfun import hyp3f2_unit_terminating, hyp5f4_unit, log_gamma, sum_series
 
 __all__ = ["arctan_pow", "quartic_gamma", "gamma_sum_identity"]
@@ -27,8 +28,7 @@ def quartic_gamma(k: int) -> float:
 
     gamma_0 = 2/pi; the sequence is positive and decreasing.
     """
-    if k < 0:
-        raise DomainError(f"quartic_gamma requires k >= 0, got {k}")
+    check_count(k, "k")
     total = 0.0
     for l in range(k + 1):
         total += math.exp(log_gamma(l + 1.0) + log_gamma(k - l + 1.0) - math.log(l + 1.0)
@@ -57,7 +57,7 @@ def arctan_pow(n: int, z: float) -> float:
     terms for |z| <= 3.9 and raises TruncationNotConverged beyond.
     """
     if n not in (1, 2, 3, 4):
-        raise UnsupportedPower(f"arctan_pow supports n in 1..4, got {n}")
+        raise DomainError(f"arctan_pow supports n in 1..4, got {n}")
     if not math.isfinite(z):
         raise NonFinite(f"arctan_pow requires a finite z, got {z}")
     if z == 0.0:
@@ -78,12 +78,11 @@ def gamma_sum_identity(n: int, a: float) -> tuple:
     Pochhammer ratio pi/(2n+a) prod_{j<n} ((a+1)/2 + j)/(a/2 + j), so the two
     routes share no code.  Raises DomainError where a side is not a finite float.
     """
-    if n < 0:
-        raise InvalidParameter(f"n must be >= 0, got {n}")
+    check_count(n, "n")
     if not math.isfinite(a):
         raise NonFinite(f"a must be finite, got {a}")
     if a <= 0 and a == int(a):
-        raise InvalidParameter(f"a must not be in {{0, -1, -2, ...}}, got {a}")
+        raise DomainError(f"a must not be in {{0, -1, -2, ...}}, got {a}")
     # lhs: the sum equals sqrt(pi) Gamma(n+1/2)/(a n!) * 3F2(-n,1/2,a/2; -n+1/2,a/2+1; 1)
     pref = _SQRT_PI * math.exp(log_gamma(n + 0.5) - log_gamma(n + 1.0)) / a
     lhs = pref * hyp3f2_unit_terminating(n, a)

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DensityValue, FlightParams, Vec3, check_radius, check_time, switch_weights
+from .model import FlightParams, check_count, check_radius, check_time, switch_weights
 
 __all__ = [
     "RadialProfile",
     "singular_weight",
     "ac_density",
-    "density_at",
     "ball_prob_asymptotic",
     "g_exact",
     "g_tilde",
@@ -72,15 +71,6 @@ def ac_density(r: float, t: float, p: FlightParams) -> float:
     if not math.isfinite(value):
         raise DomainError(f"the density at r={r}, t={t} is outside the float range")
     return value
-
-
-def density_at(x: Vec3, t: float, p: FlightParams) -> DensityValue:
-    """Full decomposition at a point: sphere atom plus interior a.c. value."""
-    return DensityValue(
-        atom_radius=p.c * t,
-        atom_mass=singular_weight(t, p),
-        ac_value=ac_density(x.norm(), t, p),
-    )
 
 
 # Below this r/ct both brackets of ball_prob_asymptotic cancel down to their
@@ -144,8 +134,7 @@ def switch_tail_error(t: float, p: FlightParams) -> float:
 def radial_profile(t: float, p: FlightParams, n_points: int, r_max: float) -> RadialProfile:
     """Density table on the uniform grid [0, r_max] with n_points entries."""
     check_time(t)
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points}")
+    check_count(n_points, "n_points", 2)
     check_radius(r_max, p.c * t, "r_max")
     radii = np.linspace(0.0, r_max, n_points)
     values = np.array([ac_density(float(r), t, p) for r in radii])

@@ -1,18 +1,15 @@
 """Shared parameter and result types with their invariants, the input domain
-of every function of time and radius, and the Poisson weights of the switch count."""
+of every function of time, radius or count, and the Poisson weights of the switch count."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError, NonFinite, NonPositiveIntensity, NonPositiveSpeed, RadiusOutsideBall,
-)
+from .errors import DomainError, NonFinite, RadiusOutsideBall
 
 __all__ = [
     "FlightParams",
-    "Vec3",
-    "DensityValue",
     "McConfig",
     "McEstimate",
 ]
@@ -62,6 +59,19 @@ def check_radius(r: float, ct: float = math.inf, name: str = "r") -> None:
         raise RadiusOutsideBall(f"{name}={r} must be < ct={ct}")
 
 
+def check_count(n, name: str, low: int = 0, high: float = math.inf) -> None:
+    """Raise DomainError unless n is an integer, as operator.index takes it, with
+    low <= n < high.  A float is no count, not even a whole one: int() would read
+    a seed of 1.5 as 1."""
+    try:
+        ok = low <= operator.index(n) < high
+    except TypeError:
+        ok = False
+    if not ok:
+        below = f" and < {high}" if high < math.inf else ""
+        raise DomainError(f"{name} must be an integer >= {low}{below}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class FlightParams:
     """Process parameters: constant speed c and Poisson switching intensity lam.
@@ -79,51 +89,9 @@ class FlightParams:
             field = "c" if not math.isfinite(self.c) else "lam"
             raise NonFinite(f"FlightParams.{field} must be finite")
         if self.c <= 0:
-            raise NonPositiveSpeed(f"speed c must be > 0, got {self.c}")
+            raise DomainError(f"speed c must be > 0, got {self.c}")
         if self.lam <= 0:
-            raise NonPositiveIntensity(f"intensity lam must be > 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class Vec3:
-    """Cartesian position vector."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x1, self.x2, self.x3))):
-            raise NonFinite("Vec3 components must be finite")
-
-    def norm(self) -> float:
-        return math.hypot(self.x1, self.x2, self.x3)
-
-    def as_tuple(self) -> tuple:
-        return (self.x1, self.x2, self.x3)
-
-
-@dataclass(frozen=True)
-class DensityValue:
-    """Decomposition of the position law at one point.
-
-    The distribution has an atom of mass exp(-lam*t) spread uniformly over
-    the sphere of radius c*t (paths with no direction switch) plus an
-    absolutely continuous part inside the open ball.  A pointwise density
-    cannot encode the atom, so it is carried structurally as
-    (atom_radius, atom_mass) alongside the interior density value.
-    """
-
-    atom_radius: float
-    atom_mass: float
-    ac_value: float
-
-    def __post_init__(self):
-        # closed: e^(-lam t) rounds to 1 for tiny lam t and to 0 for large
-        if not 0.0 <= self.atom_mass <= 1.0:
-            raise DomainError(f"atom_mass must lie in [0,1], got {self.atom_mass}")
-        if self.ac_value < 0:
-            raise DomainError("ac_value must be nonnegative")
+            raise DomainError(f"intensity lam must be > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +107,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 1 << 64:
-            raise DomainError("seed must be an unsigned 64-bit integer")
+        check_count(self.samples, "samples", 1)
+        check_count(self.seed, "seed", 0, 1 << 64)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import FlightParams, McConfig, McEstimate, check_radius, check_time
+from .model import FlightParams, McConfig, McEstimate, check_count, check_radius, check_time
 
 __all__ = [
     "CfEstimate",
@@ -70,6 +70,8 @@ class RadialHistogram(NamedTuple):
 
 def substream(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent generator for one chunk, a pure function of (seed, index)."""
+    check_count(seed, "seed", 0, 1 << 64)
+    check_count(chunk_index, "chunk_index", 0, 1 << 64)
     # a plain list would round seeds >= 2^63 through float64, so they collide
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
@@ -147,8 +149,8 @@ def sample_positions_given_n(
     n: int, t: float, p: FlightParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Batch of `size` endpoints conditioned on exactly n switches; shape (size, 3)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_count(n, "n")
+    check_count(size, "size")
     _check_draw(t, p, size * (n + 1))
     return _endpoints(np.full(size, n), t, p, rng)
 
@@ -162,6 +164,7 @@ def sample_positions(
     Poisson(lam t); each path then draws exactly counts + 1 segments, so no
     row is padded and nothing is sorted.
     """
+    check_count(size, "size")
     _check_draw(t, p, size * (p.lam * t + 1.0))
     counts = rng.poisson(p.lam * t, size)
     return _endpoints(counts, t, p, rng), counts
@@ -287,8 +290,9 @@ def radial_histogram(
     """
     check_time(t)
     check_radius(p.c * t, name="ct")  # the edges span [0, ct]
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    check_count(bins, "bins", 1)
+    if condition is not None:
+        check_count(condition, "condition")
     edges = np.linspace(0.0, p.c * t, bins + 1)
     if condition == 0:
         return RadialHistogram(edges=edges, masses=np.zeros(bins), atom_fraction=1.0)

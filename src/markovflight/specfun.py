@@ -1,9 +1,9 @@
 """Special functions underlying every closed-form expression in the package.
 
-Log-gamma, Bessel J of integer and half-integer order, the sine integral Si,
-the nonstandard cosine integral used by the characteristic functions, and two
-terminating hypergeometric sums at unit argument (log-gamma and the 3F2 sum
-are internal helpers, not exported).
+Log-gamma, Bessel J of float order, the sine integral Si, the nonstandard
+cosine integral used by the characteristic functions, and two terminating
+hypergeometric sums at unit argument (log-gamma and the 3F2 sum are internal
+helpers, not exported).
 
 `sum_series`, the one truncation rule of the paper's series (H_2, H_3, the arctan powers),
 sums to a term below 1e-14 within 400 terms; `_quad` is the one integrator.  Neither is public.
@@ -16,8 +16,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, InvalidParameter, QuadratureNotConverged, TruncationNotConverged
-from .model import check_radius
+from .errors import DomainError, QuadratureNotConverged, TruncationNotConverged
+from .model import check_count, check_radius
 
 __all__ = ["bessel_j", "si", "neg_cin", "hyp5f4_unit"]
 
@@ -163,8 +163,7 @@ def hyp5f4_unit(k: int) -> float:
     arithmetic is exact to machine precision (checked against big-rational
     summation in the tests).
     """
-    if k < 0:
-        raise DomainError(f"hyp5f4_unit requires k >= 0, got {k}")
+    check_count(k, "k")
     total, term = 0.0, 1.0
     for j in range(k + 1):
         total += term
@@ -177,10 +176,9 @@ def hyp5f4_unit(k: int) -> float:
 
 def hyp3f2_unit_terminating(n: int, a: float) -> float:
     """3F2(-n, 1/2, a/2; -n+1/2, a/2+1; 1), terminating after n+1 terms."""
-    if n < 0:
-        raise DomainError(f"hyp3f2_unit_terminating requires n >= 0, got {n}")
+    check_count(n, "n")
     if a <= 0 and a == int(a):
-        raise InvalidParameter(f"a must not be a nonpositive integer, got {a}")
+        raise DomainError(f"a must not be a nonpositive integer, got {a}")
     total = 0.0
     term = 1.0
     for j in range(n + 1):

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion with every warning an error."""
 import os
 import subprocess
 import sys
@@ -18,8 +18,9 @@ def test_demos_are_found():
 def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # pyproject.toml's warning filter does not reach a subprocess, so -W error does it here
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -15,10 +15,8 @@ from scipy import integrate, stats
 
 from markovflight import (
     FlightParams,
-    Vec3,
     ac_density,
     ball_prob_asymptotic,
-    density_at,
     g_exact,
     g_tilde,
     integrate_ac_density_ball,
@@ -41,6 +39,12 @@ class TestSingularWeight:
     def test_t_domain(self):
         with pytest.raises(DomainError):
             singular_weight(0.0, P)
+
+    @pytest.mark.parametrize("t, mass", [(1e-20, 1.0), (400.0, 0.0)])
+    def test_atom_mass_rounds_to_an_end(self, t, mass):
+        # e^(-lam t) is 1.0 at lam t = 2e-20 and 0.0 at 800; the density stays finite
+        assert singular_weight(t, P) == mass
+        assert ac_density(0.0, t, P) >= 0.0 and math.isfinite(ac_density(0.0, t, P))
 
 
 class TestAcDensity:
@@ -111,21 +115,6 @@ class TestAcDensity:
     def test_negative_radius(self):
         with pytest.raises(DomainError):
             ac_density(-0.1, T, P)
-
-
-class TestDensityAt:
-    def test_composition(self):
-        d = density_at(Vec3(0.1, 0.2, 0.0), T, P)
-        assert d.atom_radius == CT
-        assert d.atom_mass == singular_weight(T, P)
-        assert d.ac_value == ac_density(Vec3(0.1, 0.2, 0.0).norm(), T, P)
-
-    @pytest.mark.parametrize("t, mass", [(1e-20, 1.0), (400.0, 0.0)])
-    def test_atom_mass_rounds_to_an_end(self, t, mass):
-        # e^(-lam t) is 1.0 at lam t = 2e-20 and 0.0 at 800
-        d = density_at(Vec3(0.0, 0.0, 0.0), t, P)
-        assert d.atom_mass == mass
-        assert d.ac_value >= 0.0 and math.isfinite(d.ac_value)
 
 
 class TestBallProbAsymptotic:

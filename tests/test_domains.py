@@ -2,11 +2,14 @@
 
 A derandomized hypothesis sweep over the public scalar functions of `specfun`,
 `arctan_series`, `charfun` and `density`, the two radial quadratures of
-`validate` and the Monte Carlo estimators.  Float arguments may be NaN,
-infinite, negative or subnormal, and `FlightParams` spans [1e-300, 1e300]
-log-uniformly.  A NaN, an inf, or a raw `ValueError`, `ZeroDivisionError` or
-`OverflowError` fails the sweep.  The estimators draw 1e4 samples at a t cut
-to at most 1/lam: their draws grow as lam t times the sample count.
+`validate`, the samplers, `substream` and the Monte Carlo estimators.  Float
+arguments may be NaN, infinite, negative or subnormal, and `FlightParams`
+spans [1e-300, 1e300] log-uniformly.  Every count, `McConfig`'s sample count
+and seed among them, is drawn from the integers and from the floats, NaN and
+2.5 included.  A NaN, an inf, or a raw `ValueError`, `TypeError`,
+`ZeroDivisionError` or `OverflowError` fails the sweep.  The unconditional
+sampler and the estimators run at a t cut to at most 1/lam: their draws grow
+as lam t times the sample count.
 
 `--hypothesis-profile=ci` (tests/conftest.py) runs ten times the examples.
 """
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from markovflight import (
-    FlightParams, McConfig, Vec3, g_tilde, integrate_ac_density, integrate_ac_density_ball,
+    FlightParams, McConfig, g_tilde, integrate_ac_density, integrate_ac_density_ball,
 )
 from markovflight import arctan_series, charfun, density, montecarlo, specfun
 from markovflight.errors import DomainError, MarkovFlightError, TruncationNotConverged
@@ -28,11 +31,18 @@ ANY = st.one_of(st.floats(), SCALE)
 PARAMS = st.builds(FlightParams, SCALE, SCALE)
 
 
+def _count(lo, hi):
+    """A count argument: an integer in [lo, hi], or a float."""
+    return st.one_of(st.integers(lo, hi), st.floats(), st.sampled_from([2.5, math.nan]))
+
+
+SAMPLES = _count(-1, 12_000)
+SEED = _count(-1, 2**64)
+CONDITION = st.one_of(st.none(), _count(-1, 4))
+
+
 def _h(h):
     return lambda alpha, t, p: h(charfun.FreqQuery(alpha, t), p)
-
-
-MC_CFG = McConfig(10_000, 1)
 
 
 def _brief(t, p):
@@ -40,9 +50,20 @@ def _brief(t, p):
     return min(t, 1.0 / p.lam)
 
 
-def _histogram(t, p):
-    hist = montecarlo.radial_histogram(_brief(t, p), p, MC_CFG, bins=4)
+def _estimate_cf(alpha, t, p, samples, seed, condition):
+    cfg = McConfig(samples, seed)
+    ests = montecarlo.estimate_cf(alpha, _brief(t, p), p, cfg, condition)
+    return [dataclasses.astuple(est) for est in ests]
+
+
+def _histogram(t, p, samples, seed, bins, condition):
+    hist = montecarlo.radial_histogram(_brief(t, p), p, McConfig(samples, seed), bins, condition)
     return np.concatenate([hist.edges, hist.masses, [hist.atom_fraction]])
+
+
+def _positions(t, p, size):
+    pos, counts = montecarlo.sample_positions(_brief(t, p), p, size, montecarlo.substream(1, 0))
+    return np.concatenate([pos.ravel(), counts])
 
 
 # name: (strategy of the argument tuple, call returning a float or a tuple of floats)
@@ -50,33 +71,41 @@ CASES = {
     "bessel_j": (st.tuples(ANY, ANY), specfun.bessel_j),
     "si": (st.tuples(ANY), specfun.si),
     "neg_cin": (st.tuples(ANY), specfun.neg_cin),
-    "hyp5f4_unit": (st.tuples(st.integers(-3, 400)), specfun.hyp5f4_unit),
-    "arctan_pow": (st.tuples(st.integers(-1, 5), ANY), arctan_series.arctan_pow),
-    "quartic_gamma": (st.tuples(st.integers(-3, 400)), arctan_series.quartic_gamma),
-    "gamma_sum_identity": (st.tuples(st.integers(-2, 300), ANY), arctan_series.gamma_sum_identity),
+    "hyp5f4_unit": (st.tuples(_count(-3, 400)), specfun.hyp5f4_unit),
+    "arctan_pow": (st.tuples(_count(-1, 5), ANY), arctan_series.arctan_pow),
+    "quartic_gamma": (st.tuples(_count(-3, 400)), arctan_series.quartic_gamma),
+    "gamma_sum_identity": (st.tuples(_count(-2, 300), ANY), arctan_series.gamma_sum_identity),
     **{name: (st.tuples(ANY, ANY, PARAMS), _h(getattr(charfun, name)))
        for name in ("h0", "h1", "h2_series", "h3_series", "h_asymptotic")},
     **{name: (st.tuples(ANY, PARAMS), getattr(density, name))
        for name in ("singular_weight", "g_exact", "g_tilde", "switch_tail_error")},
     **{name: (st.tuples(ANY, ANY, PARAMS), getattr(density, name))
        for name in ("ac_density", "ball_prob_asymptotic")},
-    "density_at": (
-        st.tuples(ANY, ANY, ANY, ANY, PARAMS),
-        lambda x1, x2, x3, t, p: dataclasses.astuple(density.density_at(Vec3(x1, x2, x3), t, p)),
-    ),
     "radial_profile": (
-        st.tuples(ANY, PARAMS, st.integers(0, 6), ANY),
+        st.tuples(ANY, PARAMS, _count(0, 6), ANY),
         lambda *args: density.radial_profile(*args).values,
     ),
     "integrate_ac_density": (st.tuples(ANY, PARAMS), integrate_ac_density),
     "integrate_ac_density_ball": (st.tuples(ANY, ANY, PARAMS), integrate_ac_density_ball),
-    "estimate_cf": (st.tuples(ANY, ANY, PARAMS), lambda alpha, t, p: [
-        dataclasses.astuple(est) for est in montecarlo.estimate_cf(alpha, _brief(t, p), p, MC_CFG)
-    ]),
-    "estimate_ball_prob": (st.tuples(ANY, ANY, PARAMS), lambda r, t, p: dataclasses.astuple(
-        montecarlo.estimate_ball_prob(r, _brief(t, p), p, MC_CFG)
-    )),
-    "radial_histogram": (st.tuples(ANY, PARAMS), _histogram),
+    "substream": (st.tuples(SEED, _count(-1, 2**64)),
+                  lambda seed, k: montecarlo.substream(seed, k).random(2)),
+    "sample_positions": (st.tuples(ANY, PARAMS, _count(-3, 300)), _positions),
+    "sample_positions_given_n": (
+        st.tuples(_count(-3, 40), ANY, PARAMS, _count(-3, 300)),
+        lambda n, t, p, size: montecarlo.sample_positions_given_n(
+            n, t, p, size, montecarlo.substream(1, 0)
+        ),
+    ),
+    "estimate_cf": (st.tuples(ANY, ANY, PARAMS, SAMPLES, SEED, CONDITION), _estimate_cf),
+    "estimate_ball_prob": (
+        st.tuples(ANY, ANY, PARAMS, SAMPLES, SEED),
+        lambda r, t, p, samples, seed: dataclasses.astuple(
+            montecarlo.estimate_ball_prob(r, _brief(t, p), p, McConfig(samples, seed))
+        ),
+    ),
+    "radial_histogram": (
+        st.tuples(ANY, PARAMS, SAMPLES, SEED, _count(-1, 6), CONDITION), _histogram,
+    ),
 }
 
 
@@ -94,6 +123,42 @@ def _assert_total(call, args):
 def test_is_total(name, data):
     strategy, call = CASES[name]
     _assert_total(call, data.draw(strategy))
+
+
+P, T = FlightParams(5.0, 2.0), 0.1
+
+# counts that were truncated to an integer, silently, or leaked a raw TypeError,
+# ValueError or OverflowError
+BAD_COUNTS = {
+    "McConfig_seed_1.5": lambda: McConfig(20000, seed=1.5),
+    "McConfig_seed_1.9": lambda: McConfig(20000, seed=1.9),
+    "McConfig_seed_2.0": lambda: McConfig(20000, seed=2.0),
+    "McConfig_samples_nan": lambda: McConfig(math.nan),
+    "McConfig_samples_20000.5": lambda: McConfig(20000.5),
+    "substream_seed_1.5": lambda: montecarlo.substream(1.5, 0),
+    "substream_seed_-1": lambda: montecarlo.substream(-1, 0),
+    "substream_seed_2**64": lambda: montecarlo.substream(2**64, 0),
+    "sample_positions_size_-1": lambda: montecarlo.sample_positions(
+        T, P, -1, montecarlo.substream(1, 0)),
+    "sample_positions_size_2.5": lambda: montecarlo.sample_positions(
+        T, P, 2.5, montecarlo.substream(1, 0)),
+    "sample_positions_given_n_size_2.5": lambda: montecarlo.sample_positions_given_n(
+        1, T, P, 2.5, montecarlo.substream(1, 0)),
+    "radial_histogram_bins_2.5": lambda: montecarlo.radial_histogram(
+        T, P, McConfig(20000), bins=2.5),
+    "radial_histogram_condition_1.5": lambda: montecarlo.radial_histogram(
+        T, P, McConfig(20000), bins=4, condition=1.5),
+    "radial_profile_n_points_2.5": lambda: density.radial_profile(T, P, 2.5, 0.1),
+    "hyp5f4_unit_1.5": lambda: specfun.hyp5f4_unit(1.5),
+    "quartic_gamma_1.5": lambda: arctan_series.quartic_gamma(1.5),
+    "gamma_sum_identity_1.5": lambda: arctan_series.gamma_sum_identity(1.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", BAD_COUNTS)
+def test_bad_count_is_domain_error(name):
+    with pytest.raises(DomainError, match="must be an integer"):
+        BAD_COUNTS[name]()
 
 
 # points where the sweep or a direct probe once met a leak: nan, or a raw
@@ -126,7 +191,7 @@ def test_sum_series_names_an_overflowing_term():
 
 
 @pytest.mark.parametrize("call,exact", [
-    (lambda: integrate_ac_density(1.0, FlightParams(1.0, 1e103), 1.0), 0.0),
+    (lambda: integrate_ac_density(1.0, FlightParams(1.0, 1e103)), 0.0),
     (lambda: integrate_ac_density_ball(0.5, 1.0, FlightParams(1.0, 1e103)), 0.0),
     (lambda: integrate_ac_density(1.0, FlightParams(1e103, 1.0)),
      g_tilde(1.0, FlightParams(1e103, 1.0))),

@@ -13,20 +13,18 @@ import markovflight
 # frozen so that no public name is added, dropped or renamed without this
 # list changing with it
 PUBLIC_NAMES = [
-    "CfEstimate", "CheckReport", "DEFAULT_SEED", "DensityValue",
-    "DomainError", "FlightParams", "FreqQuery", "InvalidParameter",
-    "MarkovFlightError", "McConfig", "McEstimate", "NonFinite",
-    "NonPositiveIntensity", "NonPositiveSpeed", "QuadratureNotConverged", "RadialHistogram",
-    "RadialProfile", "RadiusOutsideBall", "TruncationNotConverged", "UnsupportedPower",
-    "Vec3", "__version__", "ac_density", "arctan_pow",
-    "ball_prob_asymptotic", "bessel_j", "density_at", "estimate_ball_prob",
-    "estimate_cf", "g_exact", "g_tilde", "gamma_sum_identity",
-    "h0", "h1", "h2_series", "h3_series",
-    "h_asymptotic", "hyp5f4_unit", "integrate_ac_density", "integrate_ac_density_ball",
-    "neg_cin", "quartic_gamma", "radial_histogram", "radial_profile",
-    "report_lines", "reports_to_csv", "run_suite", "sample_positions",
-    "sample_positions_given_n", "si", "singular_weight", "substream",
-    "switch_tail_error",
+    "CfEstimate", "CheckReport", "DEFAULT_SEED", "DomainError",
+    "FlightParams", "FreqQuery", "MarkovFlightError", "McConfig",
+    "McEstimate", "NonFinite", "QuadratureNotConverged", "RadialHistogram",
+    "RadialProfile", "RadiusOutsideBall", "TruncationNotConverged", "__version__",
+    "ac_density", "arctan_pow", "ball_prob_asymptotic", "bessel_j",
+    "estimate_ball_prob", "estimate_cf", "g_exact", "g_tilde",
+    "gamma_sum_identity", "h0", "h1", "h2_series",
+    "h3_series", "h_asymptotic", "hyp5f4_unit", "integrate_ac_density",
+    "integrate_ac_density_ball", "neg_cin", "quartic_gamma", "radial_histogram",
+    "radial_profile", "report_lines", "reports_to_csv", "run_suite",
+    "sample_positions", "sample_positions_given_n", "si", "singular_weight",
+    "substream", "switch_tail_error",
 ]
 
 # each public function's parameter names, frozen so that no option is added or
@@ -36,7 +34,6 @@ PUBLIC_PARAMETERS = {
     "arctan_pow": "n z",
     "ball_prob_asymptotic": "r t p",
     "bessel_j": "nu x",
-    "density_at": "x t p",
     "estimate_ball_prob": "r t p cfg",
     "estimate_cf": "alpha_norm t p cfg condition",
     "g_exact": "t p",
@@ -48,8 +45,8 @@ PUBLIC_PARAMETERS = {
     "h3_series": "q p",
     "h_asymptotic": "q p",
     "hyp5f4_unit": "k",
-    "integrate_ac_density": "t p tol",
-    "integrate_ac_density_ball": "r t p tol",
+    "integrate_ac_density": "t p",
+    "integrate_ac_density_ball": "r t p",
     "neg_cin": "x",
     "quartic_gamma": "k",
     "radial_histogram": "t p cfg bins condition",
@@ -63,6 +60,18 @@ PUBLIC_PARAMETERS = {
     "singular_weight": "t p",
     "substream": "seed chunk_index",
     "switch_tail_error": "t p",
+}
+
+# each public exception's bases, frozen: the command line exits 2 on a DomainError
+# and 1 on any other MarkovFlightError, so the two not-converged errors stay
+# outside DomainError
+PUBLIC_EXCEPTIONS = {
+    "MarkovFlightError": (Exception,),
+    "DomainError": (markovflight.MarkovFlightError, ValueError),
+    "NonFinite": (markovflight.DomainError,),
+    "RadiusOutsideBall": (markovflight.DomainError,),
+    "TruncationNotConverged": (markovflight.MarkovFlightError,),
+    "QuadratureNotConverged": (markovflight.MarkovFlightError,),
 }
 
 MODULES = ["arctan_series", "charfun", "density", "errors", "model", "montecarlo", "specfun",
@@ -80,6 +89,14 @@ def test_public_signatures_frozen():
         name: " ".join(inspect.signature(f).parameters)
         for name, f in public.items() if inspect.isfunction(f)
     } == PUBLIC_PARAMETERS
+
+
+def test_exception_hierarchy_frozen():
+    public = {name: getattr(markovflight, name) for name in markovflight.__all__}
+    assert {
+        name: cls.__bases__
+        for name, cls in public.items() if isinstance(cls, type) and issubclass(cls, Exception)
+    } == PUBLIC_EXCEPTIONS
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -7,19 +7,14 @@ import numpy as np
 import pytest
 
 from markovflight import (
-    DensityValue,
     FlightParams,
     FreqQuery,
     MarkovFlightError,
     McConfig,
     McEstimate,
     NonFinite,
-    NonPositiveIntensity,
-    NonPositiveSpeed,
-    Vec3,
     ac_density,
     ball_prob_asymptotic,
-    density_at,
     estimate_ball_prob,
     estimate_cf,
     g_exact,
@@ -46,12 +41,12 @@ class TestFlightParams:
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_speed(self, c):
-        with pytest.raises(NonPositiveSpeed):
+        with pytest.raises(DomainError, match="speed c must be > 0"):
             FlightParams(c=c, lam=1.0)
 
     @pytest.mark.parametrize("lam", [0.0, -0.5])
     def test_nonpositive_intensity(self, lam):
-        with pytest.raises(NonPositiveIntensity):
+        with pytest.raises(DomainError, match="intensity lam must be > 0"):
             FlightParams(c=1.0, lam=lam)
 
     @pytest.mark.parametrize("c,lam", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0)])
@@ -71,38 +66,6 @@ class TestFlightParams:
             p.c = 2.0
 
 
-class TestVec3:
-    def test_norm_pythagorean(self):
-        assert Vec3(3.0, 4.0, 12.0).norm() == 13.0
-
-    def test_as_tuple(self):
-        assert Vec3(1.0, -2.0, 0.5).as_tuple() == (1.0, -2.0, 0.5)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFinite):
-            Vec3(math.nan, 0.0, 0.0)
-
-
-class TestDensityValue:
-    def test_valid(self):
-        d = DensityValue(atom_radius=0.5, atom_mass=0.8, ac_value=0.2)
-        assert d.atom_mass == 0.8
-
-    @pytest.mark.parametrize("mass", [0.0, 1.0])
-    def test_atom_mass_closed_interval(self, mass):
-        # e^(-lam t) rounds to 1 or 0 at extreme lam t
-        assert DensityValue(atom_radius=0.5, atom_mass=mass, ac_value=0.0).atom_mass == mass
-
-    @pytest.mark.parametrize("mass", [math.nan, 1.5, -0.1])
-    def test_atom_mass_open_interval(self, mass):
-        with pytest.raises(DomainError):
-            DensityValue(atom_radius=0.5, atom_mass=mass, ac_value=0.0)
-
-    def test_negative_ac_value(self):
-        with pytest.raises(DomainError):
-            DensityValue(atom_radius=0.5, atom_mass=0.5, ac_value=-1e-9)
-
-
 class TestMcConfig:
     @pytest.mark.parametrize("samples", [0, -5])
     def test_samples_positive(self, samples):
@@ -113,6 +76,10 @@ class TestMcConfig:
     def test_seed_range(self, seed):
         with pytest.raises(DomainError):
             McConfig(samples=10, seed=seed)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = McConfig(samples=np.int64(20000), seed=np.uint64(2**64 - 1))
+        assert (cfg.samples, cfg.seed) == (20000, 2**64 - 1)
 
 
 class TestMcEstimate:
@@ -133,7 +100,6 @@ def rng():
 TIME_TAKERS = {
     "singular_weight": lambda t: singular_weight(t, P),
     "ac_density": lambda t: ac_density(0.1, t, P),
-    "density_at": lambda t: density_at(Vec3(0.1, 0.0, 0.0), t, P),
     "ball_prob_asymptotic": lambda t: ball_prob_asymptotic(0.1, t, P),
     "g_exact": lambda t: g_exact(t, P),
     "g_tilde": lambda t: g_tilde(t, P),

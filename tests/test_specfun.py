@@ -18,7 +18,7 @@ from scipy import special
 from markovflight import (
     arctan_pow, bessel_j, gamma_sum_identity, hyp5f4_unit, neg_cin, quartic_gamma, si, specfun,
 )
-from markovflight.errors import DomainError, InvalidParameter, NonFinite, TruncationNotConverged
+from markovflight.errors import DomainError, NonFinite, TruncationNotConverged
 from markovflight.specfun import hyp3f2_unit_terminating, log_gamma, sum_series
 
 
@@ -233,9 +233,9 @@ class TestHyp3F2:
         assert hyp3f2_rational(4, Fraction(3)) == Fraction(16384, 8085)
 
     def test_invalid_parameter(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(DomainError, match="a must not be a nonpositive integer"):
             hyp3f2_unit_terminating(2, 0.0)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(DomainError, match="a must not be a nonpositive integer"):
             hyp3f2_unit_terminating(2, -3.0)
         with pytest.raises(DomainError):
             hyp3f2_unit_terminating(-1, 1.0)

@@ -1,4 +1,5 @@
 """Quadrature oracles and the cross-check suite machinery."""
+import dataclasses
 import math
 import threading
 import warnings
@@ -39,7 +40,6 @@ QUICK_NAMES = [
     "arctan_pow_grid_n3",
     "arctan_pow_grid_n4",
     "gamma_sum_identity_grid",
-    "arctan_coefficient_sum",
     "hyp5f4_at_1",
     "quartic_gamma_0",
     "bessel_half_order_forms",
@@ -83,24 +83,20 @@ FULL_NAMES = QUICK_NAMES + [
 
 class TestCheckReport:
     def test_consistent_pass(self):
-        r = CheckReport("x", 1.0, 1.0 + 1e-12, 1e-10, True)
+        r = CheckReport("x", 1.0, 1.0 + 1e-12, 1e-10)
         assert r.passed
 
     def test_consistent_fail(self):
-        r = CheckReport("x", 1.0, 2.0, 1e-10, False)
+        r = CheckReport("x", 1.0, 2.0, 1e-10)
         assert not r.passed
-
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(DomainError):
-            CheckReport("x", 1.0, 2.0, 1e-10, True)
-        with pytest.raises(DomainError):
-            CheckReport("x", 1.0, 1.0, 1e-10, False)
 
     def test_nan_must_fail(self):
-        r = CheckReport("x", math.nan, 0.0, 1.0, False)
+        r = CheckReport("x", math.nan, 0.0, 1.0)
         assert not r.passed
-        with pytest.raises(DomainError):
-            CheckReport("x", math.nan, 0.0, 1.0, True)
+
+    def test_pass_flag_is_derived_not_stored(self):
+        assert "passed" not in {f.name for f in dataclasses.fields(CheckReport)}
+        assert CheckReport("x", 1.0, 1.0, 0.0, "detail").detail == "detail"
 
 
 class TestIntegrateAcDensity:
@@ -110,8 +106,8 @@ class TestIntegrateAcDensity:
     @pytest.mark.parametrize("t", [0.1, 0.3, 0.5])
     def test_termwise_targets(self, lam, t):
         p = FlightParams(c=5.0, lam=lam)
-        # the default tol of 1e-8, a third to each shape
-        for mass in validate._shape_masses(1.0, 1e-8 / 3.0):
+        # the integrators' 1e-8 for each shape
+        for mass in validate._shape_masses(1.0, 1e-8):
             assert mass == pytest.approx(1.0, abs=2e-12)
         assert integrate_ac_density(t, p) == pytest.approx(g_tilde(t, p), abs=1e-8)
 
@@ -120,10 +116,6 @@ class TestIntegrateAcDensity:
             assert integrate_ac_density(t, P) == pytest.approx(
                 g_tilde(t, P), abs=1e-6
             )
-
-    def test_invalid_tol(self):
-        with pytest.raises(DomainError):
-            integrate_ac_density(0.1, P, tol=0.0)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
@@ -146,17 +138,6 @@ def test_tol_bounds_the_value_at_large_lambda_t(integrate, exact):
     # 3.6e7: a tol on each bare bracket raised QuadratureNotConverged
     p = FlightParams(c=5.0, lam=20.0)
     assert integrate(p, 30.0) == pytest.approx(exact(p, 30.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("integrate", [
-    lambda tol: integrate_ac_density(0.1, P, tol=tol),
-    lambda tol: integrate_ac_density_ball(0.1, 0.1, P, tol=tol),
-], ids=["whole_ball", "subball"])
-def test_tol_outside_domain_is_domain_error(integrate, tol):
-    # a NaN tol once returned a value: no error estimate exceeds nan
-    with pytest.raises(DomainError, match="tol must be finite and > 0"):
-        integrate(tol)
 
 
 @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
@@ -274,6 +255,13 @@ class TestRunSuite:
         reports = run_suite(cfg=McConfig(samples=10**4, seed=2**64 - 1))
         assert [r.name for r in reports] == FULL_NAMES
         assert all(math.isfinite(r.lhs) for r in reports)
+
+    def test_numpy_seed_gives_the_int_seeds_reports(self):
+        # McConfig admits numpy integers; a uint64 seed once failed the direction
+        # rows on OverflowError, from keying their stream seed - 1
+        seed = 2**64 - 1
+        reports = run_suite(cfg=McConfig(samples=10**4, seed=np.uint64(seed)))
+        assert reports == run_suite(cfg=McConfig(samples=10**4, seed=seed))
 
     def test_raising_rows_fail_every_name(self, monkeypatch):
         # each row that raises, or reads a pass that raises, reports all of
