@@ -56,8 +56,10 @@ def arctan_pow(n: int, z: float) -> float:
     for large |z|; `specfun.sum_series` reaches its 1e-14 tail within its 400
     terms for |z| <= 3.9 and raises TruncationNotConverged beyond.
     """
-    if n not in (1, 2, 3, 4):
-        raise DomainError(f"arctan_pow supports n in 1..4, got {n}")
+    try:  # a float, even 2.0, is no power
+        check_count(n, "n", 1, 5)
+    except DomainError:
+        raise DomainError(f"arctan_pow supports n in 1..4, got {n}") from None
     if not math.isfinite(z):
         raise NonFinite(f"arctan_pow requires a finite z, got {z}")
     if z == 0.0:

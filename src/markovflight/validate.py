@@ -277,12 +277,12 @@ def _keyed(cfg: McConfig, n: int, samples: int) -> McConfig:
     return McConfig(samples, (int(cfg.seed) + n) % 2**64)
 
 
-def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None):
+def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None, x3=False):
     """Cached getter for one pass over the (seed, chunk) stream at t: each
     fn(positions, counts) in stats sees every chunk once, and the getter gives
     its chunk values in chunk order.  A pass that raises fails each reader."""
     return functools.cache(lambda: list(zip(*montecarlo._per_chunk(
-        t, p, cfg, lambda pos, counts: [fn(pos, counts) for fn in stats], condition
+        t, p, cfg, lambda pos, counts: [fn(pos, counts) for fn in stats], condition, x3
     ))))
 
 
@@ -350,7 +350,7 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
 
     # (name, per-chunk statistic, finisher over its chunk values)
     table = [
-        (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos, alpha), uncond),
+        (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos[:, 2], alpha), uncond),
         (f"mc_atom_fraction_t{t:g}",
          lambda pos, ns: montecarlo._radial_counts(pos, ns, edges), atom),
         (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r, ct), ball),
@@ -398,10 +398,10 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     xs = (0.3, 0.5, 1.0, 2.0, 3.0)
     alphas = [x / (p.c * t0) for x in xs]
-    # one pass per switch count n, keyed seed + n, gives the CF sums at every frequency
-    stats_n = [lambda pos, _, a=a: montecarlo._cf_sums(pos, a) for a in alphas]
+    # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
+    stats_n = [lambda x, _, a=a: montecarlo._cf_sums(x, a) for a in alphas]
     passes = {
-        n: _pass(t0, p, _keyed(cfg, n, cfg.samples), stats_n, condition=n)
+        n: _pass(t0, p, _keyed(cfg, n, cfg.samples), stats_n, condition=n, x3=True)
         for n in (1, 2, 3)
     }
 

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from markovflight import arctan_pow, gamma_sum_identity, quartic_gamma
@@ -81,6 +82,12 @@ class TestArctanPow:
         for n in (0, 5, -1):
             with pytest.raises(DomainError, match="arctan_pow supports n in 1..4"):
                 arctan_pow(n, 1.0)
+
+    @pytest.mark.parametrize("n", [2.0, 1.5, np.float64(3)])
+    def test_float_power(self, n):
+        # a whole float once passed as its integer: arctan_pow(2.0, z) gave the n = 2 value
+        with pytest.raises(DomainError, match="arctan_pow supports n in 1..4"):
+            arctan_pow(n, 1.0)
 
     def test_budget_exhaustion_raises(self):
         # past |z| = 3.9 the term budget runs out before the tail tolerance

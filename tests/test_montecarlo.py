@@ -274,17 +274,11 @@ class TestDenseSwitching:
         assert a.atom_fraction == b.atom_fraction
 
 
-class TestBlockedEndpoints:
-    """The blocked kernel gives the whole-array result bit for bit."""
+class _EndpointCases:
+    """The batches the endpoint kernel is checked on; a subclass's assert_same
+    says what it must match on each."""
 
     SIZES = [0, 1, 4095, 4097, 65_536]
-
-    @staticmethod
-    def assert_same(counts, t, p, key):
-        got = montecarlo._endpoints(counts, t, p, substream(SEED, key))
-        want = whole_array_endpoints(counts, t, p, substream(SEED, key))
-        assert got.shape == (len(counts), 3)
-        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("p, t", [(P, T), (P_DENSE, T_DENSE)], ids=["lt0.2", "lt3"])
@@ -305,12 +299,55 @@ class TestBlockedEndpoints:
             counts[edge - 2:edge + 2] = [17, 40, 1, 25]
         self.assert_same(counts, T_DENSE, P_DENSE, 44)
 
+
+class TestBlockedEndpoints(_EndpointCases):
+    """The blocked kernel gives the whole-array result bit for bit."""
+
+    @staticmethod
+    def assert_same(counts, t, p, key):
+        got = montecarlo._endpoints(counts, t, p, substream(SEED, key))
+        want = whole_array_endpoints(counts, t, p, substream(SEED, key))
+        assert got.shape == (len(counts), 3)
+        assert np.array_equal(got, want)
+
     def test_public_samplers_use_the_kernel(self):
         pos, ns = sample_positions(T_DENSE, P_DENSE, 5000, substream(SEED, 45))
         rng = substream(SEED, 45)
         counts = rng.poisson(P_DENSE.lam * T_DENSE, 5000)
         assert np.array_equal(ns, counts)
         assert np.array_equal(pos, whole_array_endpoints(counts, T_DENSE, P_DENSE, rng))
+
+
+def _philox_state(rng: np.random.Generator) -> list:
+    state = rng.bit_generator.state
+    inner = state["state"]
+    return [inner["counter"].tolist(), inner["key"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+
+class TestX3Endpoints(_EndpointCases):
+    """x3=True gives the kernel's third column bit for bit, and draws no longitude."""
+
+    @staticmethod
+    def assert_same(counts, t, p, key):
+        got = montecarlo._endpoints(counts, t, p, substream(SEED, key), x3=True)
+        want = montecarlo._endpoints(counts, t, p, substream(SEED, key))[:, 2]
+        assert got.shape == (len(counts),)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("counts", [
+        np.full(4097, 3),
+        substream(SEED, 48).poisson(3.0, 3 * montecarlo._BLOCK + 5),
+        np.zeros(10, dtype=np.int64),
+    ], ids=["n3", "poisson3", "n0"])
+    def test_stream_stops_after_the_colatitudes(self, counts):
+        rng = substream(SEED, 49)
+        montecarlo._endpoints(counts, T, P, rng, x3=True)
+        total = int(np.sum(counts + 1))
+        ref = substream(SEED, 49)
+        ref.standard_exponential(total)
+        ref.random(total)
+        assert _philox_state(rng) == _philox_state(ref)
 
 
 class _NoUniform(np.random.Generator):

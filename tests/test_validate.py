@@ -400,10 +400,19 @@ MC_CFG = McConfig(samples=10**5, seed=DEFAULT_SEED)
 
 @pytest.fixture(scope="module")
 def counted_suite():
-    """run_suite at 1e5 samples, with the samples each batch sampler was asked for."""
+    """run_suite at 1e5 samples, with the samples each batch sampler was asked for,
+    and the paths drawn as X_3 alone under "x3"."""
     drawn = {"sample_positions": 0, "sample_positions_given_n": 0}
     originals = {name: getattr(montecarlo, name) for name in drawn}
+    drawn["x3"] = 0
+    endpoints = montecarlo._endpoints
     lock = threading.Lock()  # chunks are drawn on several threads
+
+    def endpoints_counting(counts, t, p, rng, x3=False):
+        if x3:
+            with lock:
+                drawn["x3"] += len(counts)
+        return endpoints(counts, t, p, rng, x3)
 
     def counting(name):
         def sampler(*args):
@@ -414,18 +423,21 @@ def counted_suite():
         return sampler
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in drawn:
+        for name in originals:
             mp.setattr(montecarlo, name, counting(name))
+        mp.setattr(montecarlo, "_endpoints", endpoints_counting)
         reports = run_suite(cfg=MC_CFG)
     return {r.name: r for r in reports}, drawn
 
 
 class TestSinglePass:
     def test_each_stream_is_drawn_once(self, counted_suite):
-        # one unconditional pass; one pass per switch count n = 1..3, and the
-        # direction rows' min(samples, 1e6) paths given n = 0
+        # one unconditional pass; one X_3 pass per switch count n = 1..3, and
+        # the direction rows' min(samples, 1e6) paths given n = 0
         _, drawn = counted_suite
-        assert drawn == {"sample_positions": 10**5, "sample_positions_given_n": 4 * 10**5}
+        assert drawn == {
+            "sample_positions": 10**5, "sample_positions_given_n": 10**5, "x3": 3 * 10**5,
+        }
 
     def test_rows_equal_the_public_estimators(self, counted_suite):
         reports, _ = counted_suite
