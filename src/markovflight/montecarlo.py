@@ -9,11 +9,11 @@ batch samplers draw exactly that many segments per path, laid end to end in
 one flat array, and add each path's segments one block of whole paths at a
 time, each coordinate column with its own 1-D np.add.reduceat.  The uniforms
 are random() scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat
-hold the GIL, so chunks on two threads would take turns.  Longitudes and
-characteristic-function terms get their cosine and sine from one vectorised
-tan by the half-angle identities (`_cos_sin`), within 2.6e-16 of the exact values.
-The CF estimates take alpha = (0, 0, ||alpha||), as the law is isotropic, and
-draw X_3 alone: no longitude, no direction trig, two reduceats a block, not four.
+hold the GIL, so chunks on two threads would take turns.  Longitudes get their
+cosine and sine from one vectorised tan by the half-angle identities (`_cos_sin`),
+within 2.6e-16 of the exact values.  The CF estimates take alpha = (0, 0, ||alpha||),
+as the law is isotropic, draw X_3 alone (two reduceats a block, not four), and sum
+1 - cos a = 2 tau^2/(1 + tau^2), tau = tan(a/2), which keeps its digits near a = 0.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
@@ -34,7 +34,6 @@ from .errors import DomainError
 from .model import FlightParams, McConfig, McEstimate, check_count, check_radius, check_time
 
 __all__ = [
-    "CfEstimate",
     "RadialHistogram",
     "sample_positions",
     "sample_positions_given_n",
@@ -53,13 +52,6 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 12
 # Most segments one sampler call may draw: three float64 draws each, about 1.5 GB.
 _MAX_SEGMENTS = 1 << 26
-
-
-class CfEstimate(NamedTuple):
-    """Empirical characteristic function: real part and imaginary part."""
-
-    real: McEstimate
-    imag: McEstimate
 
 
 class RadialHistogram(NamedTuple):
@@ -230,16 +222,16 @@ def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate
 
 
 def _cf_sums(proj: np.ndarray, alpha_norm: float) -> tuple:
-    cos_v, sin_v = _cos_sin(alpha_norm * proj)
-    return np.sum(cos_v), np.sum(cos_v * cos_v), np.sum(sin_v), np.sum(sin_v * sin_v)
+    # v = 1 - cos(alpha x_3) by the half-angle identity: no cancellation as alpha x_3 -> 0
+    tau2 = np.tan((0.5 * alpha_norm) * proj) ** 2
+    v = 2.0 * tau2 / (1.0 + tau2)
+    return np.sum(v), np.sum(v * v)
 
 
-def _cf_estimate(parts, n: int) -> CfEstimate:
-    parts = np.array(parts)
-    return CfEstimate(
-        real=_mean_with_error(parts[:, 0], parts[:, 1], n),
-        imag=_mean_with_error(parts[:, 2], parts[:, 3], n),
-    )
+def _cf_estimate(parts, n: int) -> McEstimate:
+    # E cos = 1 - E v; v's sums keep the digits that sums of cos a ~ 1 cancel
+    v = _mean_with_error(*np.array(parts).T, n)
+    return McEstimate(mean=1.0 - v.mean, std_error=v.std_error, samples=n)
 
 
 def _ball_hits(pos: np.ndarray, r: float, ct: float) -> float:
@@ -247,10 +239,10 @@ def _ball_hits(pos: np.ndarray, r: float, ct: float) -> float:
     return float(np.sum(_radii(pos, e) <= math.ldexp(r, -e)))
 
 
-def _radial_counts(pos: np.ndarray, counts, edges: np.ndarray) -> tuple:
-    # no-switch rows are the atom (none given n); radii and edges over 2^e keep every bin exact
+def _radial_counts(pos: np.ndarray, counts: np.ndarray, edges: np.ndarray) -> tuple:
+    # no-switch rows are the atom; radii and edges over 2^e keep every bin exact
     e = math.frexp(edges[-1])[1]
-    radii = _radii(pos, e) if counts is None else _radii(pos, e)[counts > 0]
+    radii = _radii(pos, e)[counts > 0]
     atom = len(pos) - len(radii)
     edges = np.ldexp(edges, -e)
     # array edges: numpy 2.4's sort-free uniform-bin path measured 2-4x slower
@@ -266,12 +258,12 @@ def _radial_histogram(edges: np.ndarray, parts, n: int) -> RadialHistogram:
 
 def estimate_cf(
     alpha_norm: float, t: float, p: FlightParams, cfg: McConfig, condition: Optional[int] = None
-) -> CfEstimate:
-    """Empirical characteristic function at alpha = (0, 0, alpha_norm).
+) -> McEstimate:
+    """Empirical characteristic function E cos(alpha_norm X_3) at alpha = (0, 0, alpha_norm).
 
     With condition=n the paths are drawn given exactly n switches.  By radial
-    symmetry the direction of alpha is irrelevant, so X_3 alone is drawn; the
-    imaginary part is 0 in law, and its estimate is returned for the symmetry check.
+    symmetry the direction of alpha is irrelevant and the imaginary part is 0
+    in law, so X_3 alone is drawn and the real part alone is estimated.
     """
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")
@@ -294,23 +286,16 @@ def estimate_ball_prob(r: float, t: float, p: FlightParams, cfg: McConfig) -> Mc
     return _mean_with_error(hits, hits, cfg.samples)  # an indicator is its own square
 
 
-def radial_histogram(
-    t: float, p: FlightParams, cfg: McConfig, bins: int, condition: Optional[int] = None
-) -> RadialHistogram:
+def radial_histogram(t: float, p: FlightParams, cfg: McConfig, bins: int) -> RadialHistogram:
     """Empirical radial mass per bin on [0, ct], atom mass reported separately.
 
-    Unconditional runs classify no-switch samples as the sphere atom and
-    histogram the rest; conditioned on n the histogram covers all samples
-    (for n = 0 everything is atom).  Masses are fractions of the total sample
-    count, so masses.sum() + atom_fraction == 1 exactly.
+    No-switch samples are the sphere atom and the rest are histogrammed.
+    Masses are fractions of the total sample count, so
+    masses.sum() + atom_fraction == 1 exactly.
     """
     check_time(t)
     check_radius(p.c * t, name="ct")  # the edges span [0, ct]
     check_count(bins, "bins", 1)
-    if condition is not None:
-        check_count(condition, "condition")
     edges = np.linspace(0.0, p.c * t, bins + 1)
-    if condition == 0:
-        return RadialHistogram(edges=edges, masses=np.zeros(bins), atom_fraction=1.0)
-    parts = _per_chunk(t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges), condition)
+    parts = _per_chunk(t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges))
     return _radial_histogram(edges, parts, cfg.samples)

@@ -300,8 +300,8 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
         est = montecarlo._cf_estimate(parts, n)
         q = charfun.FreqQuery(alpha_norm=alpha, t=t)
         # the dropped n >= 4 terms add at most P{N >= 4}, as |H_n| <= 1
-        tol = 3.0 * est.real.std_error + _remainder_bound(p, t, alpha) + switch_weights(t, p)[4]
-        return est.real.mean, charfun.h_asymptotic(q, p), tol
+        tol = 3.0 * est.std_error + _remainder_bound(p, t, alpha) + switch_weights(t, p)[4]
+        return est.mean, charfun.h_asymptotic(q, p), tol
 
     def atom(parts):
         hist = montecarlo._radial_histogram(edges, parts, n)
@@ -408,20 +408,13 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     def conditional(n, analytic, j):
         est = montecarlo._cf_estimate(passes[n]()[j], cfg.samples)
         q = charfun.FreqQuery(alpha_norm=alphas[j], t=t0)
-        return est.real.mean, analytic(q, p), 3.0 * est.real.std_error
-
-    def imag_symmetry():
-        imags = [montecarlo._cf_estimate(parts, cfg.samples).imag
-                 for n in (1, 2, 3) for parts in passes[n]()]
-        worst = max([0.0] + [abs(e.mean) / e.std_error for e in imags if e.std_error > 0])
-        return _bound(worst - 3.0, detail=f"worst |imag|/se = {worst:.3f}")
+        return est.mean, analytic(q, p), 3.0 * est.std_error
 
     rows = [
         (f"mc_conditional_cf_n{n}_x{x:g}", lambda n=n, h=h, j=j: conditional(n, h, j))
         for n, h in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series))
         for j, x in enumerate(xs)
     ]
-    rows.append(("mc_cf_imag_symmetry", imag_symmetry))
     for t in t_list:
         rows += _mc_rows_at(p, t, cfg)
     return rows + [

@@ -94,10 +94,10 @@ def test_criterion_3_cf_oracle_equivalence(acceptance_log):
             alpha = x / (P.c * 0.1)
             q = mf.FreqQuery(alpha_norm=alpha, t=0.1)
             est = mf.estimate_cf(alpha, 0.1, P, cfg, condition=n)
-            diff = abs(est.real.mean - fn(q, P))
-            if diff > 3.0 * est.real.std_error:
+            diff = abs(est.mean - fn(q, P))
+            if diff > 3.0 * est.std_error:
                 failures.append(
-                    f"n={n} x={x}: |mc-series|={diff:.3g} > 3se={3 * est.real.std_error:.3g}"
+                    f"n={n} x={x}: |mc-series|={diff:.3g} > 3se={3 * est.std_error:.3g}"
                 )
     finish(acceptance_log, 3, "cf-oracle-equivalence", failures)
 
@@ -121,8 +121,8 @@ def test_criterion_4_small_time_approximation(acceptance_log):
                 failures.append(f"t={t} alpha={alpha}: diff={diff:.3g} > {budget:.3g}")
         est = mf.estimate_cf(2.0, t, P, cfg)
         q = mf.FreqQuery(alpha_norm=2.0, t=t)
-        mc_diff = abs(est.real.mean - mf.h_asymptotic(q, P))
-        mc_budget = 3.0 * est.real.std_error + budget
+        mc_diff = abs(est.mean - mf.h_asymptotic(q, P))
+        mc_budget = 3.0 * est.std_error + budget
         if mc_diff > mc_budget:
             failures.append(f"mc t={t}: diff={mc_diff:.3g} > {mc_budget:.3g}")
     finish(acceptance_log, 4, "small-time-approximation", failures)

@@ -52,12 +52,11 @@ def _brief(t, p):
 
 def _estimate_cf(alpha, t, p, samples, seed, condition):
     cfg = McConfig(samples, seed)
-    ests = montecarlo.estimate_cf(alpha, _brief(t, p), p, cfg, condition)
-    return [dataclasses.astuple(est) for est in ests]
+    return dataclasses.astuple(montecarlo.estimate_cf(alpha, _brief(t, p), p, cfg, condition))
 
 
-def _histogram(t, p, samples, seed, bins, condition):
-    hist = montecarlo.radial_histogram(_brief(t, p), p, McConfig(samples, seed), bins, condition)
+def _histogram(t, p, samples, seed, bins):
+    hist = montecarlo.radial_histogram(_brief(t, p), p, McConfig(samples, seed), bins)
     return np.concatenate([hist.edges, hist.masses, [hist.atom_fraction]])
 
 
@@ -104,7 +103,7 @@ CASES = {
         ),
     ),
     "radial_histogram": (
-        st.tuples(ANY, PARAMS, SAMPLES, SEED, _count(-1, 6), CONDITION), _histogram,
+        st.tuples(ANY, PARAMS, SAMPLES, SEED, _count(-1, 6)), _histogram,
     ),
 }
 
@@ -146,8 +145,6 @@ BAD_COUNTS = {
         1, T, P, 2.5, montecarlo.substream(1, 0)),
     "radial_histogram_bins_2.5": lambda: montecarlo.radial_histogram(
         T, P, McConfig(20000), bins=2.5),
-    "radial_histogram_condition_1.5": lambda: montecarlo.radial_histogram(
-        T, P, McConfig(20000), bins=4, condition=1.5),
     "radial_profile_n_points_2.5": lambda: density.radial_profile(T, P, 2.5, 0.1),
     "hyp5f4_unit_1.5": lambda: specfun.hyp5f4_unit(1.5),
     "quartic_gamma_1.5": lambda: arctan_series.quartic_gamma(1.5),

@@ -13,7 +13,7 @@ import markovflight
 # frozen so that no public name is added, dropped or renamed without this
 # list changing with it
 PUBLIC_NAMES = [
-    "CfEstimate", "CheckReport", "DEFAULT_SEED", "DomainError",
+    "CheckReport", "DEFAULT_SEED", "DomainError",
     "FlightParams", "FreqQuery", "MarkovFlightError", "McConfig",
     "McEstimate", "NonFinite", "QuadratureNotConverged", "RadialHistogram",
     "RadialProfile", "RadiusOutsideBall", "TruncationNotConverged", "__version__",
@@ -49,7 +49,7 @@ PUBLIC_PARAMETERS = {
     "integrate_ac_density_ball": "r t p",
     "neg_cin": "x",
     "quartic_gamma": "k",
-    "radial_histogram": "t p cfg bins condition",
+    "radial_histogram": "t p cfg bins",
     "radial_profile": "t p n_points r_max",
     "report_lines": "reports",
     "reports_to_csv": "reports",

@@ -69,7 +69,6 @@ QUICK_NAMES = [
 FULL_NAMES = QUICK_NAMES + [
     f"mc_conditional_cf_n{n}_x{x}" for n in (1, 2, 3) for x in ("0.3", "0.5", "1", "2", "3")
 ] + [
-    "mc_cf_imag_symmetry",
     "mc_uncond_cf_t0.1",
     "mc_atom_fraction_t0.1",
     "mc_ball_prob_t0.1",
@@ -442,7 +441,7 @@ class TestSinglePass:
     def test_rows_equal_the_public_estimators(self, counted_suite):
         reports, _ = counted_suite
         t = 0.1
-        assert reports["mc_uncond_cf_t0.1"].lhs == estimate_cf(2.0, t, P, MC_CFG).real.mean
+        assert reports["mc_uncond_cf_t0.1"].lhs == estimate_cf(2.0, t, P, MC_CFG).mean
         assert reports["mc_ball_prob_t0.1"].lhs == (
             estimate_ball_prob(0.5 * P.c * t, t, P, MC_CFG).mean
         )
@@ -451,7 +450,7 @@ class TestSinglePass:
         )
         cond_cfg = McConfig(samples=MC_CFG.samples, seed=MC_CFG.seed + 2)
         assert reports["mc_conditional_cf_n2_x1"].lhs == (
-            estimate_cf(1.0 / (P.c * t), t, P, cond_cfg, condition=2).real.mean
+            estimate_cf(1.0 / (P.c * t), t, P, cond_cfg, condition=2).mean
         )
 
 
