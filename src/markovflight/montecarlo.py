@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily, in the first draw otherwise
 
 from .errors import DomainError
 from .model import FlightParams, McConfig, McEstimate, check_count, check_radius, check_time
@@ -263,7 +264,9 @@ def estimate_cf(
 
     With condition=n the paths are drawn given exactly n switches.  By radial
     symmetry the direction of alpha is irrelevant and the imaginary part is 0
-    in law, so X_3 alone is drawn and the real part alone is estimated.
+    in law, so X_3 alone is drawn and the real part alone is estimated.  Near 1
+    the estimate rounds to a double (2^-53), so a check against H_n there needs
+    a floor of 2^-50, as validate._remainder_bound has.
     """
     if cfg.samples < _MIN_CF_SAMPLES:
         raise DomainError(f"estimate_cf needs at least {_MIN_CF_SAMPLES} samples")

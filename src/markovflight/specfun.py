@@ -3,27 +3,31 @@
 Log-gamma, Bessel J of float order, the sine integral Si, the nonstandard
 cosine integral used by the characteristic functions, and two terminating
 hypergeometric sums at unit argument (log-gamma and the 3F2 sum are internal
-helpers, not exported).
+helpers, not exported).  All are plain Python on numpy; only Bessel J off the
+orders and arguments the series read imports scipy, for its jv.
 
 `sum_series`, the one truncation rule of the paper's series (H_2, H_3, the arctan powers),
 sums to a term below 1e-14 within 400 terms; `_quad` is the one integrator.  Neither is public.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureNotConverged, TruncationNotConverged
 from .model import check_count, check_radius
 
 __all__ = ["bessel_j", "si", "neg_cin", "hyp5f4_unit"]
 
-# neg_cin switches from its entire Taylor series to scipy's Ci here; the
-# series loses digits to cancellation once x is well past 10.
-_TAYLOR_CUTOFF = 10.0
+# Above these, neg_cin and si leave their Taylor series for the continued fraction of E_1(ix):
+# neg_cin's loses digits well past 10, si's 6.5e-14 on [6, 10] (the fraction 2.8e-15 on [2, 4]).
+_TAYLOR_CUTOFF, _SI_CUTOFF = 10.0, 4.0
+# bessel_j sums J itself where 2 nu is whole, nu <= _SWEEP_TOP and x <= _SWEEP_X.
+_SWEEP_TOP = 500
+_SWEEP_X = 64.0
 
 # sum_series stops at the first term below _TAIL_TOL.  _MAX_TERMS covers the
 # geometric arctan tails for |z| <= 3.9 (n = 4 needs 243 terms at z = 3, 409 at
@@ -94,11 +98,51 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _power_series(nu: float, x: float) -> float:
+    """J_nu(x) for whole 2 nu and nu + 1 >= x^2, where each term is at most 1/4 of the last
+    (4^-27 < 2^-53), so nothing cancels; (x/2)^nu / Gamma(nu + 1) is built factor by factor."""
+    frac, half = nu % 1.0, 0.5 * x
+    lead = math.sqrt(2.0 * x / math.pi) if frac else 1.0  # (x/2)^frac / Gamma(frac + 1)
+    for j in range(1, int(nu) + 1):
+        lead *= half / (frac + j)
+    total = term = 1.0
+    for m in range(1, 28):
+        term *= -half * half / (m * (nu + m))
+        total += term
+    return lead * total
+
+
+@functools.lru_cache(maxsize=256)
+def _sweep(frac: float, x: float) -> list:
+    """[J_frac(x), J_{frac+1}(x), ...], frac 0 or 1/2, good to order min(_SWEEP_TOP, x^2), by
+    Miller's backward recurrence from 40 orders higher (Gautschi, SIAM Review 9, 1967).  A value past
+    2^900 scales the run by 2^-900; what that drives below 2^-1022 is subnormal once
+    normalised too.  J_0 + 2 sum J_2k = 1 normalises the whole orders, and
+    sqrt(2/(pi x)) sin x = J_1/2 or cos x = J_-1/2, the larger, the half orders."""
+    above, here, values = 0.0, 2.0**-900, []
+    for v in range(min(_SWEEP_TOP, int(x * x)) + 40, -1 if frac else 0, -1):
+        above, here = here, 2.0 * (v + frac) / x * here - above  # J_{frac+v-1}
+        if abs(here) > 2.0**900:
+            values = [w * 2.0**-900 for w in values]
+            above, here = above * 2.0**-900, here * 2.0**-900
+        values.append(here)
+    values.reverse()  # values[i] is J_{frac+i}, from i = -1 for the half orders
+    if frac:
+        sin, cos = math.sin(x), math.cos(x)
+        form, at = (sin, 1) if abs(sin) > abs(cos) else (cos, 0)
+        scale = math.sqrt(2.0 / (math.pi * x)) * form / values[at]
+        return [w * scale for w in values[1:]]
+    scale = 1.0 / math.fsum([values[0], *(2.0 * w for w in values[2::2])])
+    return [w * scale for w in values]
+
+
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for nu >= 0 and x >= 0.
 
-    J_{1/2} and J_{3/2} use their closed trigonometric forms; other orders
-    delegate to scipy's jv, which is stable across the needed range.
+    J_{1/2} and J_{3/2} use their closed trigonometric forms.  Where 2 nu is whole,
+    nu <= _SWEEP_TOP and x <= _SWEEP_X, as at every order the H_2 and H_3 series read,
+    J is its power series where that cannot cancel (nu + 1 >= x^2), else a cached backward
+    sweep (`_sweep`).  Other inputs go to scipy's jv, imported on first use.
     """
     check_radius(nu, name="nu")
     check_radius(x, name="x")
@@ -107,16 +151,20 @@ def bessel_j(nu: float, x: float) -> float:
     if nu == 0.5:
         return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
     if nu == 1.5:
-        pref = math.sqrt(2.0 / (math.pi * x))
         if x < 0.5:
             # sin(x)/x - cos(x) cancels catastrophically near 0; its own series
-            # sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)!, term ratio -x^2/(2m(2m+3)), is exact here
+            # sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)!, term ratio -x^2/(2m(2m+3)), is exact here,
+            # led by x^2/3 taken apart from the prefactor so that x^2 cannot underflow
             x2 = x * x
-            poly = x2 / 3.0 * (1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0 * (
+            poly = 1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0 * (
                 1.0 - x2 / 88.0 * (1.0 - x2 / 130.0 * (1.0 - x2 / 180.0))
-            ))))
-            return pref * poly
-        return pref * (math.sin(x) / x - math.cos(x))
+            )))
+            return math.sqrt(2.0 / math.pi) * x * math.sqrt(x) / 3.0 * poly
+        return math.sqrt(2.0 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
+    if nu <= _SWEEP_TOP and x <= _SWEEP_X and (2.0 * nu).is_integer():
+        return _power_series(nu, x) if nu + 1.0 >= x * x else _sweep(nu % 1.0, x)[int(nu)]
+    from scipy import special
+
     value = float(special.jv(nu, x))
     # jv gives nan past nu ~ 1e17; |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) says where J underflows
     if math.isnan(value) and nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) > -746.0:
@@ -124,10 +172,33 @@ def bessel_j(nu: float, x: float) -> float:
     return 0.0 if math.isnan(value) else value
 
 
+def _e1_imaginary(x: float) -> complex:
+    """E_1(ix) = -Ci(x) + i (Si(x) - pi/2) for x >= 4, by its continued fraction summed
+    by modified Lentz (Numerical Recipes, section 6.8)."""
+    b = complex(1.0, x)
+    c, d = math.inf, 1.0 / b  # c = inf makes the first c equal to b
+    h = d
+    for i in range(1, 100):
+        b += 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.0**-53:
+            break
+    return h * complex(math.cos(x), -math.sin(x))
+
+
 def si(x: float) -> float:
     """Sine integral Si(x) = integral of sin(u)/u over [0, x]."""
     check_radius(x, name="x")
-    return float(special.sici(x)[0])
+    if x > _SI_CUTOFF:
+        return 0.5 * math.pi + _e1_imaginary(x).imag
+    # sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!); at x = 4 the term k = 17 is below 1e-20
+    total = power = x
+    for k in range(1, 18):
+        power *= -x * x / ((2 * k) * (2 * k + 1))
+        total += power / (2 * k + 1)
+    return total
 
 
 def neg_cin(x: float) -> float:
@@ -141,7 +212,7 @@ def neg_cin(x: float) -> float:
     check_radius(x, name="x")
     if x > _TAYLOR_CUTOFF:
         # Ci(x) = gamma + ln x + neg_cin(x), with Euler's gamma
-        return float(special.sici(x)[1]) - math.log(x) - 0.57721566490153286
+        return -_e1_imaginary(x).real - math.log(x) - 0.57721566490153286
     # sum_{k>=1} (-1)^k x^(2k) / ((2k)(2k)!)
     total = 0.0
     term = -x * x / 4.0

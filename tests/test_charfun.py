@@ -37,7 +37,8 @@ def query_for_x(x: float, t: float = 0.1) -> FreqQuery:
 def h1_reference(x: float) -> float:
     """[sin(x) Si(2x) + cos(x) (Ci(2x) - ln(2x) - gamma)] / x^2 in mpmath at 40 digits.
 
-    Shares no code path with h1, which takes Si and Ci from scipy.
+    Shares no code path with h1, which takes Si and Ci from specfun's Taylor series
+    and the continued fraction of E_1(ix).
     """
     with mpmath.workdps(40):
         x = mpmath.mpf(x)

@@ -114,19 +114,35 @@ def test_internal_helpers_stay_importable_but_private():
         assert helper.__name__ not in markovflight.__all__
 
 
-@pytest.mark.parametrize("module", ["markovflight", "markovflight.cli"])
-def test_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats cost about 0.5 s of every command's start, scipy.integrate
-    # (with scipy.optimize and scipy.sparse) about 0.12 s more and scipy.linalg,
-    # once loaded for scipy's Gauss-Legendre nodes, about 0.06 s; nothing needs them
-    code = (
-        f"import sys, {module}; "
-        "print(sorted(k for k in sys.modules if k.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'integrate'], ['scipy', 'linalg'])))"
-    )
+SCIPY_MODULES = "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+
+
+def _fresh(code: str) -> str:
     src = str(Path(markovflight.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["markovflight", "markovflight.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats cost about 0.5 s of every command's start, and scipy.special,
+    # the last scipy module, about 0.25 s; no command needs any of scipy
+    assert _fresh(f"import sys, {module}; {SCIPY_MODULES}") == "[]"
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # bessel_j imports scipy only off the orders the series read, or past x = 64
+    commands = [
+        ["validate", "--samples", "100000"],
+        ["simulate", "--samples", "20000"],
+        ["density-profile"],
+        ["gcurves"],
+    ]
+    runs = "; ".join(
+        f"assert cli.main({args + ['--output', str(tmp_path / str(k))]!r}) == 0"
+        for k, args in enumerate(commands)
+    )
+    assert _fresh(f"import sys; from markovflight import cli; {runs}; {SCIPY_MODULES}") == "[]"

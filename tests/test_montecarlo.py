@@ -25,6 +25,7 @@ from markovflight import (
     estimate_ball_prob,
     estimate_cf,
     h1,
+    h2_series,
     h_asymptotic,
     radial_histogram,
     sample_positions,
@@ -510,6 +511,14 @@ class TestEstimateCf:
         for alpha in (1e-4, 1e-6):
             se = estimate_cf(alpha, T, P, cfg, condition=2).std_error
             assert se == pytest.approx(ref * (alpha / 1e-2) ** 2, rel=0.01, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-8])
+    def test_small_frequency_against_the_series(self, alpha):
+        # near 1 the estimate rounds to a double (2^-53) and the series to a few ulps,
+        # so a check against H_n there needs the 2^-50 floor of validate._remainder_bound
+        est = estimate_cf(alpha, T, P, McConfig(samples=200_000, seed=SEED), condition=2)
+        series = h2_series(FreqQuery(alpha_norm=alpha, t=T), P)
+        assert abs(est.mean - series) <= 3.0 * est.std_error + 2.0**-50
 
     def test_sample_floor(self):
         with pytest.raises(DomainError):

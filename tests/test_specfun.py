@@ -3,8 +3,8 @@
 Hypergeometric sums are checked against big-rational summation built from
 their textbook definitions (fractions.Fraction, no floats until the final
 comparison), Si and the entire cosine integral against mpmath's si and ci
-at 40 digits (scipy's sici is the implementation), and Bessel values against
-the defining power series.
+at 40 digits (the implementation is a Taylor series and the continued fraction
+of E_1(ix)), and Bessel values against the defining power series and mpmath's besselj.
 """
 import math
 import warnings
@@ -120,10 +120,13 @@ class TestBesselJ:
             ref = bessel_series(n + 0.5, x)
             assert bessel_j(n + 0.5, x) == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("x", [1e-150, 1e-100, 1e-9, 0.0999, 0.11, 0.3, 0.49, 0.51])
+    @pytest.mark.parametrize(
+        "x", [1e-204, 1e-200, 1e-160, 1e-150, 1e-100, 1e-9, 0.0999, 0.11, 0.3, 0.49, 0.51]
+    )
     def test_three_halves_relative_error_near_zero(self, x):
         # the x^8 polynomial gave 7.4e-15 at x = 0.0999 and sin(x)/x - cos(x)
-        # 2.5e-14 at 0.11; pytest.approx's 1e-12 absolute floor would hide both
+        # 2.5e-14 at 0.11; pytest.approx's 1e-12 absolute floor would hide both.
+        # A prefactor times x^2/3 lost 4.8e-4 at 1e-160 and gave 0.0 from 1e-180
         with mpmath.workdps(40):
             ref = mpmath.besselj(1.5, mpmath.mpf(x))
             err = abs((mpmath.mpf(bessel_j(1.5, x)) - ref) / ref)
@@ -138,6 +141,37 @@ class TestBesselJ:
             assert bessel_j(1.5, x) == pytest.approx(
                 float(special.jv(1.5, x)), abs=1e-13
             )
+
+
+# x where the sweep's two normalisations meet a zero of sin x or cos x, and
+# where the power series hands over (nu + 1 = x^2) or the sweep ends (x = 64)
+SWEEP_XS = [1e-8, 1e-3, 0.3, 0.99, 1.0, 1.3, 2.0, math.pi, 1.5 * math.pi, 5.0, 10.0,
+            10.0 * math.pi, 10.5 * math.pi, 22.3, 22.5, 30.0, 37.0, 45.0, 19.5 * math.pi,
+            63.9, 64.0]
+
+
+@pytest.mark.parametrize("x", SWEEP_XS)
+def test_bessel_j_at_every_order_the_series_read(x):
+    # H_2 reads J at k + 1 and H_3 at k + 3/2; the 40-digit oracle shares no code with
+    # either method.  Relative where nu >= x and J is a normal float, where J is small
+    with mpmath.workdps(40):
+        for nu in [k + half for k in range(101) for half in (0.5, 1.0)]:
+            ref = mpmath.besselj(nu, mpmath.mpf(x))
+            err = abs(mpmath.mpf(bessel_j(nu, x)) - ref)
+            assert err <= 5e-16, (nu, x)
+            if nu >= x and abs(ref) > 1e-300:
+                assert err <= 1e-14 * abs(ref), (nu, x)
+
+
+@pytest.mark.parametrize("x", [3.9, 4.0, 4.1, 9.99, 10.01, 1e5])
+def test_sine_and_cosine_integrals_at_their_switches(x):
+    # si leaves its Taylor series at 4 and neg_cin at 10, each for the continued fraction
+    # of E_1(ix); 9.99 is neg_cin's Taylor side, within 3.7e-15 relative there
+    with mpmath.workdps(40):
+        u = mpmath.mpf(x)
+        si_ref, cin_ref = mpmath.si(u), mpmath.ci(u) - mpmath.log(u) - mpmath.euler
+        assert abs(si(x) - si_ref) <= 5e-16
+        assert abs(neg_cin(x) - cin_ref) <= 5e-15 * abs(cin_ref)
 
 
 class TestSi:

@@ -93,6 +93,20 @@ class TestCheckReport:
         r = CheckReport("x", math.nan, 0.0, 1.0)
         assert not r.passed
 
+    def test_nan_shortfall_must_fail(self):
+        # max(0.0, nan) is 0.0, which passed
+        assert not CheckReport("x", *validate._bound(math.nan)).passed
+        assert CheckReport("x", *validate._bound(-1.0)).passed
+
+    def test_nan_at_one_point_fails_its_row(self, monkeypatch):
+        # Python's max drops a NaN that is not its first argument; x = 20.30 is the
+        # 41st of the row's 80 points
+        si = specfun.si
+        monkeypatch.setattr(specfun, "si", lambda x: math.nan if 20.0 < x < 20.5 else si(x))
+        si_row, cin_row = validate._si_cin_reference()
+        assert not CheckReport("si_against_reference", *si_row).passed
+        assert CheckReport("neg_cin_against_reference", *cin_row).passed
+
     def test_pass_flag_is_derived_not_stored(self):
         assert "passed" not in {f.name for f in dataclasses.fields(CheckReport)}
         assert CheckReport("x", 1.0, 1.0, 0.0, "detail").detail == "detail"
@@ -478,16 +492,26 @@ def test_direction_rows_read_the_samplers_draws(monkeypatch):
 
 
 class TestStatisticsMatchScipyStats:
-    """The suite's Poisson, chi-square and KS arithmetic, against scipy.stats."""
+    """The suite's Poisson, chi-square and KS arithmetic, against scipy.stats and mpmath."""
 
     SUITE_CFG = McConfig(samples=10**6, seed=DEFAULT_SEED)
 
-    @pytest.mark.parametrize("mu", [0.2, 3.0, 20.0])
-    def test_poisson_pmf_bit_equal(self, mu):
-        k = np.arange(64)
-        assert np.array_equal(validate._poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+    @pytest.mark.parametrize("mu", [0.2, 3.0, 20.0, 700.0])
+    def test_poisson_pmf_against_mpmath(self, mu):
+        # math.lgamma is not scipy's gammaln, so the pmf is no longer scipy's bit for bit;
+        # this measures 8.6e-14, and scipy.stats itself needs 1.05e-13 at mu = 700
+        got = validate._poisson_pmf(np.arange(64), mu)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mu)
+            for k in range(64):
+                ref = mpmath.exp(-m) * m**k / mpmath.factorial(k)
+                assert abs(got[k] - ref) <= 1.5e-13 * ref, k
 
-    def test_chisquare_bit_equal_on_the_suite_counts(self, monkeypatch):
+    def test_poisson_pmf_at_zero_mean(self):
+        # xlogy's rule 0 log 0 = 0; np.log(0) would warn and math.log(0) raise
+        assert validate._poisson_pmf(np.arange(4), 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_chisquare_on_the_suite_counts(self, monkeypatch):
         chisquare = validate._chisquare
         seen = []
 
@@ -500,8 +524,41 @@ class TestStatisticsMatchScipyStats:
         dict(rows)["mc_switch_chisquare_t0.1"]()
         [(observed, expected)] = seen
         assert len(observed) >= 3
-        ref = stats.chisquare(observed, expected)
-        assert chisquare(observed, expected) == (ref.statistic, ref.pvalue)
+        stat, pvalue = chisquare(observed, expected)
+        assert stat == stats.chisquare(observed, expected).statistic
+        with mpmath.workdps(50):
+            ref = mpmath.gammainc((len(observed) - 1) / mpmath.mpf(2), mpmath.mpf(stat) / 2,
+                                  regularized=True)
+            assert abs(pvalue - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("df", range(1, 64))
+    def test_chisquare_tail_against_mpmath(self, df):
+        # the worst is 3.9e-14 at df = 1, y = 350: erfc(sqrt y) carries the rounding of
+        # sqrt y times 2y; scipy's chdtrc is off by up to 1.1e-13 on the same grid
+        expected = np.ones(df + 1)
+        for target in (0.0, 1e-10, 0.5, 2.0, 10.0, 63.0, 300.0, 700.0, 1e4, 1e6):
+            observed = expected.copy()
+            observed[0] += math.sqrt(target)
+            stat, pvalue = validate._chisquare(observed, expected)
+            with mpmath.workdps(50):
+                ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2, regularized=True)
+                # a NaN fails the comparison; below the normal floats only absolutely
+                assert abs(pvalue - ref) <= 5e-14 * ref + 2.0**-1022, (df, target)
+
+    def test_kolmogorov_tail_against_mpmath(self):
+        # both forms of the limit law, across their switch at y = 1
+        n = 10**4
+        scale = math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)
+        for y in np.linspace(0.01, 5.0, 250).tolist() + [1.0 - 1e-12, 1.0]:
+            d = y / scale
+            pvalue = validate._ks_pvalue(d, n)
+            with mpmath.workdps(50):
+                u = mpmath.mpf(scale * d)  # the float y that _ks_pvalue forms
+                ref = 1 - mpmath.sqrt(2 * mpmath.pi) / u * mpmath.nsum(
+                    lambda k: mpmath.exp(-(2 * k - 1) ** 2 * mpmath.pi**2 / (8 * u * u)),
+                    [1, mpmath.inf],
+                )
+                assert abs(pvalue - ref) <= 1e-14 * ref, y
 
     def test_ks_distance_bit_equal_at_the_suite_seed(self, monkeypatch):
         seen = []
