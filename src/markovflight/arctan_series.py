@@ -1,10 +1,10 @@
 """Series expansions of arctan(z)^n for n = 1..4 and the identities behind them.
 
 Each power of the inverse tangent admits a series in w = z^2/(1+z^2) with the
-prefactor (z/sqrt(1+z^2))^n.  The n = 3 coefficients involve a terminating
-5F4 sum, and the n = 4 coefficients are the quartic gamma_k weights.  Each
-a_{n+1,k}, computed once per process, also weighs the k-th Bessel term of the
-n-switch characteristic function (`charfun`).  The series in w is summed by
+prefactor (z/sqrt(1+z^2))^n.  One table, built once per process, holds every
+coefficient; the paper's forms for n = 3 (a terminating 5F4 sum) and n = 4 (the
+quartic gamma_k weights) check it.  Each a_{n+1,k} also weighs the k-th Bessel
+term of the n-switch characteristic function (`charfun`).  The series in w is summed by
 `specfun.sum_series`, the package's one truncation rule.
 """
 from __future__ import annotations
@@ -12,9 +12,11 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .errors import DomainError, NonFinite
 from .model import check_count
-from .specfun import hyp3f2_unit_terminating, hyp5f4_unit, log_gamma, sum_series
+from .specfun import _MAX_TERMS, hyp3f2_unit_terminating, log_gamma, sum_series
 
 __all__ = ["arctan_pow", "quartic_gamma", "gamma_sum_identity"]
 
@@ -36,17 +38,20 @@ def quartic_gamma(k: int) -> float:
     return total / (k + 2.0)
 
 
-# Callers ask for k below their series' term budget, so the cache stays small.
 @functools.cache
+def _table() -> list:
+    """The first _MAX_TERMS a_{n,k} for n = 1..4, within 1e-15 relative: a_1 and a_2 by their
+    term ratios, and as arctan^3 = arctan arctan^2 and arctan^4 = (arctan^2)^2, a_3 and a_4 as
+    Cauchy products."""
+    k = np.arange(_MAX_TERMS - 1.0)
+    a1 = np.cumprod(np.r_[1.0, (k + 0.5) * (2 * k + 1) / ((k + 1) * (2 * k + 3))])
+    a2 = np.cumprod(np.r_[1.0, (k + 1) ** 2 / ((k + 1.5) * (k + 2))])
+    return [a[:_MAX_TERMS].tolist() for a in (a1, a2, np.convolve(a1, a2), np.convolve(a2, a2))]
+
+
 def _coefficient(n: int, k: int) -> float:
     # k-th series coefficient a_{n,k} of (arctan z)^n in powers of w = z^2/(1+z^2)
-    if n == 1:
-        return math.exp(log_gamma(k + 0.5) - log_gamma(k + 1.0)) / (_SQRT_PI * (2 * k + 1))
-    if n == 2:
-        return _SQRT_PI / 2.0 * math.exp(log_gamma(k + 1.0) - log_gamma(k + 1.5)) / (k + 1.0)
-    if n == 3:
-        return _coefficient(1, k) * hyp5f4_unit(k)
-    return math.pi / 2.0 * quartic_gamma(k)
+    return _table()[n - 1][k]
 
 
 def arctan_pow(n: int, z: float) -> float:

@@ -85,8 +85,8 @@ def _series(n: int, q: FreqQuery, p: FlightParams) -> float:
 def h2_series(q: FreqQuery, p: FlightParams) -> float:
     """Two-switch characteristic function as a Bessel series.
 
-    H_2 = sum_k x^(k-1) / (2^(k-1) k! (2k+1)^2) * F(k) * J_{k+1}(x), where
-    F(k) is the terminating 5F4 factor of `specfun.hyp5f4_unit`.
+    H_2 = sum_k x^(k-1) / (2^(k-1) k! (2k+1)^2) * F(k) * J_{k+1}(x), with F(k) the terminating
+    5F4 of `specfun.hyp5f4_unit`; it checks the table's a_{3,k}, which the sum reads.
     """
     return _series(2, q, p)
 
@@ -95,7 +95,8 @@ def h3_series(q: FreqQuery, p: FlightParams) -> float:
     """Three-switch characteristic function as a half-integer Bessel series.
 
     H_3 = 3 pi^(3/2) sum_k gamma_k x^(k-3/2) / (2^(k+3/2) (k+1)!) * J_{k+3/2}(x)
-    with gamma_k the quartic arctan coefficients of `arctan_series`.
+    with gamma_k the quartic arctan coefficients; the sum reads (pi/2) gamma_k = a_{4,k}
+    from the `arctan_series` table, which `quartic_gamma` checks.
     """
     return _series(3, q, p)
 

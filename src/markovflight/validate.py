@@ -388,27 +388,31 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
     ]
 
 
+def _ks_distance(chunks, n: int) -> float:
+    """KS distance from U(0, 1) of n values in sorted chunks, as scipy.stats.kstest takes it:
+    the largest (k + 1)/n - u_k or u_k - k/n at global rank k.  Bin by bin of width 1/16, the
+    chunks' slices are joined and sorted, so no array of all n values is made."""
+    cuts = [np.r_[0, np.searchsorted(u, np.arange(1, 16) / 16.0), len(u)] for u in chunks]
+    worst, offset = [], 0
+    for b in range(16):
+        u = np.sort(np.concatenate([c[cut[b]:cut[b + 1]] for c, cut in zip(chunks, cuts)]))
+        if len(u):
+            steps = np.arange(offset, offset + len(u) + 1.0) / n
+            worst += [np.max(steps[1:] - u), np.max(u - steps[:-1])]
+            offset += len(u)
+    return _worst(worst)
+
+
 def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
     # paths given no switch end at ct times the sampler's own unit vectors;
     # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0;
-    # the KS p-value is stated for 1e4 <= n <= 1e6
+    # the KS p-value is stated for 1e4 <= n <= 1e6; each worker sorts its (z + 1)/2
     n = min(cfg.samples, 10**6)
     ct = p.c * t
-    sums, zs = zip(*montecarlo._per_chunk(
-        t, p, _keyed(cfg, -1, n), lambda pos, _: (pos.sum(axis=0), pos[:, 2] / ct), condition=0
-    ))
+    sums, us = zip(*montecarlo._per_chunk(t, p, _keyed(cfg, -1, n), lambda pos, _: (
+        pos.sum(axis=0), np.sort((pos[:, 2] / ct + 1.0) / 2.0)), condition=0))
     worst_mean = float(np.max(np.abs(sum(sums) / (n * ct))))
-    z = np.concatenate(zs)
-    del zs
-    # two-sided KS distance of z from U(-1, 1), as scipy.stats.kstest takes it, in place
-    z.sort()
-    z += 1.0
-    z /= 2.0
-    steps = np.arange(n + 1.0) / n
-    gap = steps[1:] - z
-    d_plus = np.max(gap)
-    np.subtract(z, steps[:-1], out=gap)
-    pvalue = _ks_pvalue(max(d_plus, np.max(gap)), n)
+    pvalue = _ks_pvalue(_ks_distance(us, n), n)
     return [
         (worst_mean, 0.0, 4.0 / math.sqrt(n)),
         _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),

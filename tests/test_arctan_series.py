@@ -6,6 +6,7 @@ Gamma(m + 3/2) = sqrt(pi) (2m+2)! / (4^(m+1) (m+1)!).  The gamma-sum identity
 is rebuilt term by term from Gamma(k+1/2) = sqrt(pi) (2k)!/(4^k k!), making
 the left side pi times an exact rational for rational a.
 """
+import functools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from markovflight import arctan_pow, gamma_sum_identity, quartic_gamma
+from markovflight import arctan_pow, arctan_series, gamma_sum_identity, quartic_gamma
 from markovflight.errors import DomainError, TruncationNotConverged
 
 
@@ -58,6 +59,33 @@ class TestQuarticGamma:
         vals = [quartic_gamma(k) for k in range(40)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@functools.cache
+def exact_coefficients() -> list:
+    """[a_1, a_2, a_3, a_4] for k < 400 as exact rationals: a_1 = C(2k, k)/(4^k (2k+1)),
+    a_2 = 2 4^k k!^2/(2k+2)!, and their Cauchy products a_3 = a_1 * a_2, a_4 = a_2 * a_2."""
+    a1 = [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)) for k in range(400)]
+    a2 = [Fraction(2 * 4**k * math.factorial(k) ** 2, math.factorial(2 * k + 2))
+          for k in range(400)]
+
+    def cauchy(a, b):
+        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(400)]
+
+    return [a1, a2, cauchy(a1, a2), cauchy(a2, a2)]
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_against_exact_rationals(self, n):
+        # the table once summed a_3 and a_4 from exp(lgamma ...) terms, 5.5e-13 off by k = 400
+        for k, ref in enumerate(exact_coefficients()[n - 1]):
+            got = Fraction(arctan_series._coefficient(n, k))
+            assert abs(got - ref) <= Fraction(2e-15) * ref, (n, k)
+
+    def test_quartic_is_half_the_quartic_gamma_rational(self):
+        for k in range(0, 400, 13):
+            assert exact_coefficients()[3][k] == quartic_gamma_rational(k) / 2, k
 
 
 class TestArctanPow:

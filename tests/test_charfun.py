@@ -165,13 +165,13 @@ class TestH2H3:
             fn(query_for_x(x), P)
 
 
-def h_reference(n: int, x: float) -> float:
+def h_reference(n: int, x: float, digits: int = 40) -> float:
     """H_n(x), n = 2 or 3, as sum_k n! sqrt(pi) 2^-n a_{n+1,k} (x/2)^(k-n/2)
-    J_{k+n/2}(x) / Gamma(k+(n+1)/2) in mpmath at 40 digits, with the arctan^3
+    J_{k+n/2}(x) / Gamma(k+(n+1)/2) in mpmath at `digits` digits, with the arctan^3
     coefficient a_{3,k} = Gamma(k+1/2) 5F4(k) / (k! sqrt(pi) (2k+1)) from the
     terminating 5F4 sum and a_{4,k} = (pi/2) gamma_k from its gamma sum.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(digits):
         half = mpmath.mpf(1) / 2
         x = mpmath.mpf(x)
         total = mpmath.mpf(0)
@@ -202,6 +202,14 @@ def h_reference(n: int, x: float) -> float:
 @pytest.mark.parametrize("n,fn", [(2, h2_series), (3, h3_series)], ids=["H2", "H3"])
 def test_series_match_the_mpmath_reference(n, fn, x):
     assert abs(fn(query_for_x(x), P) - h_reference(n, x)) <= 2e-15
+
+
+@pytest.mark.parametrize("x", [30.0, 33.0, 36.0])
+@pytest.mark.parametrize("n,fn", [(2, h2_series), (3, h3_series)], ids=["H2", "H3"])
+def test_series_near_their_guard_match_the_mpmath_reference(n, fn, x):
+    # the terms peak at up to 280 here, so a coefficient's relative error shows 280-fold:
+    # a_3, a_4 summed from exp(lgamma ...) put H_2 1.9e-12 and H_3 1.1e-13 off at x = 36
+    assert abs(fn(query_for_x(x), P) - h_reference(n, x, digits=50)) <= 5e-14
 
 
 @pytest.mark.parametrize("n,fn", [(0, h0), (1, h1)], ids=["H0", "H1"])

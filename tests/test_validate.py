@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -569,6 +570,51 @@ class TestStatisticsMatchScipyStats:
         cfg = McConfig(n, DEFAULT_SEED - 1)
         z = np.concatenate(montecarlo._per_chunk(0.1, P, cfg, lambda pos, _: pos[:, 2] / ct, 0))
         assert d == stats.kstest(z, lambda x: (x + 1.0) / 2.0).statistic
+
+    @staticmethod
+    def whole_array_distance(u: np.ndarray, n: int):
+        # the form _directions once used: all n values joined, then steps and gap of length n
+        u = np.sort(u)
+        steps = np.arange(n + 1.0) / n
+        gap = steps[1:] - u
+        d_plus = np.max(gap)
+        np.subtract(u, steps[:-1], out=gap)
+        return max(d_plus, np.max(gap))
+
+    @staticmethod
+    def chunk_sets():
+        """Sorted chunks with ties, values on the edges j/16 and just outside [0, 1], and
+        bins left empty by narrow ranges; then one chunk alone and a short last chunk."""
+        rng = np.random.default_rng(28)
+        specials = np.r_[np.arange(17) / 16.0, -2.0**-53, np.nextafter(0.0, -1.0),
+                         np.nextafter(1.0, 2.0), 1.0 + 2.0**-52]
+        for _ in range(300):
+            lo, hi = np.sort(rng.random(2))
+            yield [np.sort(np.concatenate([
+                lo + (hi - lo) * rng.random(size),
+                rng.choice(specials, rng.integers(0, 5)),
+                np.round(rng.random(rng.integers(0, 20)), 2),
+            ])) for size in rng.integers(1, 300, rng.integers(1, 6))]
+        yield [np.sort(rng.random(1000))]
+        yield [np.sort(rng.random(1000)), np.sort(rng.random(1000)), np.sort(rng.random(3))]
+
+    def test_ks_distance_bit_equal_to_the_whole_array_form(self):
+        for i, chunks in enumerate(self.chunk_sets()):
+            n = sum(map(len, chunks))
+            d = validate._ks_distance(chunks, n)
+            assert d == self.whole_array_distance(np.concatenate(chunks), n), i
+
+    def test_direction_rows_hold_no_array_of_all_samples(self, monkeypatch):
+        # on one worker at 1e6 samples, joining every z and making its steps and gaps
+        # peaked at 22.9 MiB; the sorted chunks, cut into 16 bins, peak at 12.4 MiB
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        tracemalloc.start()
+        try:
+            validate._directions(P, 0.1, self.SUITE_CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     @pytest.mark.parametrize("scaled", [1.40, 1.5, 1.628, 2.0, 3.0])
