@@ -7,13 +7,15 @@ switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  The
 batch samplers draw exactly that many segments per path, laid end to end in
 one flat array, and add each path's segments one block of whole paths at a
-time, each coordinate column with its own 1-D np.add.reduceat.  The uniforms
-are random() scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat
-hold the GIL, so chunks on two threads would take turns.  Longitudes get their
-cosine and sine from one vectorised tan by the half-angle identities (`_cos_sin`),
-within 2.6e-16 of the exact values.  The CF estimates take alpha = (0, 0, ||alpha||),
-as the law is isotropic, draw X_3 alone (two reduceats a block, not four), and sum
-1 - cos a = 2 tau^2/(1 + tau^2), tau = tan(a/2), which keeps its digits near a = 0.
+time, each coordinate column with its own 1-D np.add.reduceat (by columns, in its
+order, where the block's paths share a count up to 7).  The uniforms are random()
+scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL, so
+chunks on two threads would take turns; the last draw is made block by block.
+Longitudes get their cosine and sine from one vectorised tan by the half-angle
+identities (`_cos_sin`), within 2.6e-16 of the exact values.  The CF estimates
+take alpha = (0, 0, ||alpha||), as the law is isotropic, draw X_3 alone (two
+row sums a block, not four), and sum 1 - cos a = 2 tau^2/(1 + tau^2),
+tau = tan(a/2), which keeps its digits near a = 0.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
@@ -99,6 +101,30 @@ def _check_draw(t: float, p: FlightParams, segments: float) -> None:
         raise DomainError(f"{segments:.3g} segments exceed the budget of {_MAX_SEGMENTS}")
 
 
+def _uniform(rng: np.random.Generator, size: int, low: float, high: float) -> np.ndarray:
+    """rng.uniform(low, high, size) bit for bit, as numpy computes it, low + (high - low) *
+    random(): random() releases the GIL, uniform holds it."""
+    u = rng.random(size)
+    u *= high - low
+    u += low
+    return u
+
+
+def _row_sums(col: np.ndarray, width: Optional[int], rows: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(col, rows) bit for bit.  Rows of one width up to 8 are summed by
+    columns, a0 + (((a1 + a2) + a3) + ...): reduceat adds a0 to the rest summed in turn
+    from -0.0 in rows that short, and its per-row call costs far more than the adds."""
+    if width is None:
+        return np.add.reduceat(col, rows)
+    if width == 1:
+        return col
+    m = col.reshape(-1, width)
+    rest = m[:, 1]
+    for k in range(2, width):
+        rest = rest + m[:, k]
+    return m[:, 0] + rest
+
+
 def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Generator,
                x3: bool = False) -> np.ndarray:
     """Endpoints of paths with counts[i] switches each; shape (len(counts), 3).
@@ -109,40 +135,38 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     Directions are uniform on S^2: cos(colatitude) uniform on [-1, 1] and
     longitude on [0, 2 pi).  Nothing is sorted, so no rounding can reorder
     epochs into a negative segment, and each row's length sums to ct up to
-    rounding.  Every draw is made first; the rest runs over blocks of _BLOCK
-    whole paths.  A contiguous column's 1-D reduceat groups each row as the
+    rounding.  Gaps, colatitudes and longitudes are drawn in turn, the last
+    one block of _BLOCK whole paths at a time: the same Philox words in the
+    same order.  A contiguous column's 1-D reduceat groups each row as the
     2-D reduceat over axis 0 does, so every row is the whole-array sum bit
-    for bit, and unlike the 2-D one it releases the GIL.  x3=True gives [:, 2]
-    alone bit for bit, without the longitudes: they are the last draw.
+    for bit, and unlike the 2-D one it releases the GIL; `_row_sums` adds
+    rows of one count up to 7 by columns in its order.  x3=True gives [:, 2]
+    alone bit for bit, without the longitudes: the colatitudes are then the last draw.
     """
     size = len(counts)
     if size == 0:
         return np.zeros(0 if x3 else (0, 3))
-    segments = counts + 1
-    ends = np.cumsum(segments)
-    starts = ends - segments
-    total = int(ends[-1])
-    gaps = rng.standard_exponential(total)
-    # random() scaled, not uniform(), which holds the GIL: uniform is low + range * random()
-    z = rng.random(total)
-    z *= 2.0
-    z -= 1.0
+    ends = np.cumsum(counts + 1)
+    gaps = rng.standard_exponential(int(ends[-1]))
     if not x3:
-        phi = rng.random(total)
-        phi *= 2.0 * math.pi
+        z = _uniform(rng, int(ends[-1]), -1.0, 1.0)
     out = np.empty((size, 1 if x3 else 3))
     for i in range(0, size, _BLOCK):
         j = min(i + _BLOCK, size)
-        lo, hi = starts[i], ends[j - 1]
-        rows = starts[i:j] - lo
-        gap, zb = gaps[lo:hi], z[lo:hi]
-        scale = (p.c * t) / np.add.reduceat(gap, rows)
-        if not x3:
+        lo, hi = int(ends[i] - counts[i]) - 1, int(ends[j - 1])
+        rows = ends[i:j] - counts[i:j] - (lo + 1)
+        width = int(counts[i]) + 1 if counts[i] < 8 and np.all(counts[i:j] == counts[i]) else None
+        gap = gaps[lo:hi]
+        scale = (p.c * t) / _row_sums(gap, width, rows)
+        if x3:
+            cols = (_uniform(rng, hi - lo, -1.0, 1.0) * gap,)
+        else:
+            zb = z[lo:hi]
             s = np.sqrt(np.maximum(0.0, 1.0 - zb * zb))
-            cos_phi, sin_phi = _cos_sin(phi[lo:hi])
-        zs = zb * gap
-        for k, col in enumerate((zs,) if x3 else (s * cos_phi * gap, s * sin_phi * gap, zs)):
-            np.multiply(np.add.reduceat(col, rows), scale, out=out[i:j, k])
+            cos_phi, sin_phi = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi))
+            cols = (s * cos_phi * gap, s * sin_phi * gap, zb * gap)
+        for k, col in enumerate(cols):
+            np.multiply(_row_sums(col, width, rows), scale, out=out[i:j, k])
     return out[:, 0] if x3 else out
 
 

@@ -11,6 +11,7 @@ once over the whole batch.
 """
 import math
 import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import mpmath
@@ -288,9 +289,18 @@ class _EndpointCases:
         self.assert_same(counts, t, p, 41)
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8])
     def test_conditional_counts(self, n, size):
+        # up to n = 7 a block's rows are summed by columns; n = 8 is the first reduceat count
         self.assert_same(np.full(size, n), T, P, 42)
+
+    @pytest.mark.parametrize("p, t", [(P, T), (P_DENSE, T_DENSE)], ids=["lt0.2", "lt3"])
+    def test_poisson_counts_with_one_equal_count_block(self, p, t):
+        # the second block is summed by columns, the blocks either side by reduceat
+        block = montecarlo._BLOCK
+        counts = substream(SEED, 50).poisson(p.lam * t, 3 * block + 5)
+        counts[block:2 * block] = 2
+        self.assert_same(counts, t, p, 51)
 
     def test_long_paths_at_block_edges(self):
         # the paths either side of each block edge carry many segments
@@ -299,6 +309,21 @@ class _EndpointCases:
         for edge in (block, 2 * block, 3 * block):
             counts[edge - 2:edge + 2] = [17, 40, 1, 25]
         self.assert_same(counts, T_DENSE, P_DENSE, 44)
+
+
+# batches whose draws are followed word by word through the Philox stream
+STREAM_COUNTS = [
+    np.full(4097, 3),
+    substream(SEED, 48).poisson(3.0, 3 * montecarlo._BLOCK + 5),
+    np.zeros(10, dtype=np.int64),
+]
+
+
+def _philox_state(rng: np.random.Generator) -> list:
+    state = rng.bit_generator.state
+    inner = state["state"]
+    return [inner["counter"].tolist(), inner["key"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
 
 class TestBlockedEndpoints(_EndpointCases):
@@ -311,19 +336,24 @@ class TestBlockedEndpoints(_EndpointCases):
         assert got.shape == (len(counts), 3)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
+    def test_stream_reads_gaps_colatitudes_longitudes(self, counts):
+        # the longitudes, drawn block by block, read what one draw of them would
+        rng = substream(SEED, 52)
+        montecarlo._endpoints(counts, T, P, rng)
+        total = int(np.sum(counts + 1))
+        ref = substream(SEED, 52)
+        ref.standard_exponential(total)
+        ref.random(total)
+        ref.random(total)
+        assert _philox_state(rng) == _philox_state(ref)
+
     def test_public_samplers_use_the_kernel(self):
         pos, ns = sample_positions(T_DENSE, P_DENSE, 5000, substream(SEED, 45))
         rng = substream(SEED, 45)
         counts = rng.poisson(P_DENSE.lam * T_DENSE, 5000)
         assert np.array_equal(ns, counts)
         assert np.array_equal(pos, whole_array_endpoints(counts, T_DENSE, P_DENSE, rng))
-
-
-def _philox_state(rng: np.random.Generator) -> list:
-    state = rng.bit_generator.state
-    inner = state["state"]
-    return [inner["counter"].tolist(), inner["key"].tolist(), state["buffer"].tolist(),
-            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
 
 
 class TestX3Endpoints(_EndpointCases):
@@ -336,11 +366,7 @@ class TestX3Endpoints(_EndpointCases):
         assert got.shape == (len(counts),)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("counts", [
-        np.full(4097, 3),
-        substream(SEED, 48).poisson(3.0, 3 * montecarlo._BLOCK + 5),
-        np.zeros(10, dtype=np.int64),
-    ], ids=["n3", "poisson3", "n0"])
+    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
     def test_stream_stops_after_the_colatitudes(self, counts):
         rng = substream(SEED, 49)
         montecarlo._endpoints(counts, T, P, rng, x3=True)
@@ -349,6 +375,45 @@ class TestX3Endpoints(_EndpointCases):
         ref.standard_exponential(total)
         ref.random(total)
         assert _philox_state(rng) == _philox_state(ref)
+
+
+def test_x3_kernel_peak_memory():
+    # 65,536 paths given 3 switches: a chunk-sized colatitude draw took the peak to 6.3 MiB
+    counts = np.full(1 << 16, 3)
+    tracemalloc.start()
+    try:
+        montecarlo._endpoints(counts, T, P, substream(SEED, 53), x3=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+
+
+def _signed_terms(rng: np.random.Generator, size: int) -> np.ndarray:
+    # either sign, magnitudes 1e-300 to 1e300, comparable runs, and signed zeros
+    terms = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+    near = rng.random(size) < 0.4
+    terms[near] = rng.standard_normal(int(near.sum()))
+    zero = rng.random(size) < 0.15
+    terms[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return terms
+
+
+class TestRowSums:
+    """_row_sums by columns is np.add.reduceat bit for bit, on rows of 1 to 8 terms: the
+    column form rests on reduceat's order for short rows, under every SIMD dispatch."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_columns_follow_reduceat_order(self, width):
+        rng = substream(SEED, 54 + width)
+        for trial in range(20):
+            col = _signed_terms(rng, 999 * width)
+            if trial % 4 == 0:  # all terms zero, of either sign
+                col = rng.choice([0.0, -0.0], col.size)
+            rows = np.arange(0, col.size, width)
+            got = montecarlo._row_sums(col, width, rows)
+            want = np.add.reduceat(col, rows)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
 
 
 class _NoUniform(np.random.Generator):

@@ -492,6 +492,16 @@ def test_direction_rows_read_the_samplers_draws(monkeypatch):
     assert {"mc_direction_component_means", "mc_direction_ks_uniform"} <= set(failed)
 
 
+def test_position_sums_equal_sum_over_axis_0():
+    # the per-chunk sums of the mean-position and direction rows add rows in turn, as
+    # sum(axis=0) does; einsum("ij,ij->j", pos, pos) is not (pos * pos).sum(axis=0)
+    rng = np.random.default_rng(29)
+    for size in [*range(1, 201), 4095, 4096, 4097, 16960, 65536]:
+        pos = rng.standard_normal((size, 3)) * 10.0 ** rng.integers(-8, 8, (size, 3))
+        assert np.array_equal(np.einsum("ij->j", pos), pos.sum(axis=0)), size
+        assert np.array_equal(np.einsum("ij->j", pos * pos), (pos * pos).sum(axis=0)), size
+
+
 class TestStatisticsMatchScipyStats:
     """The suite's Poisson, chi-square and KS arithmetic, against scipy.stats and mpmath."""
 
