@@ -20,8 +20,8 @@ tau = tan(a/2), which keeps its digits near a = 0.
 Determinism: work is split into fixed-size chunks and chunk k draws from a
 counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
 process may use (set from outside, as by taskset); their results are reduced in
-index order, so estimates are bit-identical for any CPU count.  The suite
-in `validate` reduces its passes with the same private per-chunk statistics.
+index order, so estimates are bit-identical for any CPU count.  Each pass of
+the suite in `validate` is one `_per_chunk` call over a table of these statistics.
 """
 from __future__ import annotations
 
@@ -259,9 +259,9 @@ def _cf_estimate(parts, n: int) -> McEstimate:
     return McEstimate(mean=1.0 - v.mean, std_error=v.std_error, samples=n)
 
 
-def _ball_hits(pos: np.ndarray, r: float, ct: float) -> float:
-    e = math.frexp(ct)[1]
-    return float(np.sum(_radii(pos, e) <= math.ldexp(r, -e)))
+def _ball_hits(radii: np.ndarray, r: float, e: int) -> float:
+    # radii in units of 2^e, as _radii(pos, e) gives them
+    return float(np.sum(radii <= math.ldexp(r, -e)))
 
 
 def _radial_counts(pos: np.ndarray, counts: np.ndarray, edges: np.ndarray) -> tuple:
@@ -273,12 +273,6 @@ def _radial_counts(pos: np.ndarray, counts: np.ndarray, edges: np.ndarray) -> tu
     # array edges: numpy 2.4's sort-free uniform-bin path measured 2-4x slower
     hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1]), bins=edges)
     return hist.astype(float), atom
-
-
-def _radial_histogram(edges: np.ndarray, parts, n: int) -> RadialHistogram:
-    counts = np.sum([c for c, _ in parts], axis=0)
-    atom_total = sum(a for _, a in parts)
-    return RadialHistogram(edges=edges, masses=counts / n, atom_fraction=atom_total / n)
 
 
 def estimate_cf(
@@ -309,7 +303,8 @@ def estimate_ball_prob(r: float, t: float, p: FlightParams, cfg: McConfig) -> Mc
     if r >= p.c * t:  # ct = inf raises in the sampler
         # whole support: exactly 1 without sampling noise at the boundary
         return McEstimate(mean=1.0, std_error=0.0, samples=cfg.samples)
-    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(pos, r, p.c * t))
+    e = math.frexp(p.c * t)[1]
+    hits = _per_chunk(t, p, cfg, lambda pos, _: _ball_hits(_radii(pos, e), r, e))
     return _mean_with_error(hits, hits, cfg.samples)  # an indicator is its own square
 
 
@@ -324,5 +319,5 @@ def radial_histogram(t: float, p: FlightParams, cfg: McConfig, bins: int) -> Rad
     check_radius(p.c * t, name="ct")  # the edges span [0, ct]
     check_count(bins, "bins", 1)
     edges = np.linspace(0.0, p.c * t, bins + 1)
-    parts = _per_chunk(t, p, cfg, lambda pos, counts: _radial_counts(pos, counts, edges))
-    return _radial_histogram(edges, parts, cfg.samples)
+    hists, atoms = zip(*_per_chunk(t, p, cfg, lambda pos, ns: _radial_counts(pos, ns, edges)))
+    return RadialHistogram(edges, np.sum(hists, axis=0) / cfg.samples, sum(atoms) / cfg.samples)

@@ -9,7 +9,9 @@ bounds are encoded with lhs = shortfall and rhs = 0.
 The suite is one table of rows (names, thunk), run in order by one loop.  A
 thunk returns (lhs, rhs, tolerance[, detail]) for its one name, or one such
 tuple per name when a row carries several; a row that raises fails every one
-of its names.
+of its names.  Each Monte Carlo pass (`_pass`) is one table of entries (names,
+statistic, finisher): every statistic sees each chunk of one draw, and the
+entry's row gives its chunk values to the finisher.
 """
 from __future__ import annotations
 
@@ -236,7 +238,9 @@ def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
         exact = math.fsum(w * h(q, p) for w, h in zip(weights, hs))
         return abs(charfun.h_asymptotic(q, p) - exact) / _remainder_bound(p, t, alpha)
 
-    return _worst(map(ratio, (0.3, 0.5, 1.0, 2.0, 3.0))), 0.0, 1.0, "worst remainder / bound"
+    # x = ct ||alpha|| from 1.5 t to 15 t at every c: H_2's series raises at x = 40
+    alphas = [x / (p.c * 0.1) for x in (0.15, 0.25, 0.5, 1.0, 1.5)]
+    return _worst(map(ratio, alphas)), 0.0, 1.0, "worst remainder / bound"
 
 
 def _static_rows(p: FlightParams, t_list) -> list:
@@ -302,13 +306,15 @@ def _keyed(cfg: McConfig, n: int, samples: int) -> McConfig:
     return McConfig(samples, (int(cfg.seed) + n) % 2**64)
 
 
-def _pass(t: float, p: FlightParams, cfg: McConfig, stats, condition=None, x3=False):
-    """Cached getter for one pass over the (seed, chunk) stream at t: each
-    fn(positions, counts) in stats sees every chunk once, and the getter gives
-    its chunk values in chunk order.  A pass that raises fails each reader."""
-    return functools.cache(lambda: list(zip(*montecarlo._per_chunk(
-        t, p, cfg, lambda pos, counts: [fn(pos, counts) for fn in stats], condition, x3
+def _pass(t: float, p: FlightParams, cfg: McConfig, table, condition=None, x3=False) -> list:
+    """The rows of one pass over the (seed, chunk) stream at t, one per entry (names,
+    statistic, finisher) of table: statistic(positions, counts) sees every chunk of one
+    cached draw, and finisher its values in chunk order.  A pass that raises fails all its rows."""
+    columns = functools.cache(lambda: list(zip(*montecarlo._per_chunk(
+        t, p, cfg, lambda pos, ns: [stat(pos, ns) for _, stat, _ in table], condition, x3
     ))))
+    return [(names, lambda k=k, finish=finish: finish(columns()[k]))
+            for k, (names, _, finish) in enumerate(table)]
 
 
 def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
@@ -317,9 +323,8 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
     ct = p.c * t
     e = math.frexp(ct)[1]
     n = cfg.samples
-    alpha = 2.0
+    alpha = 1.0 / ct  # x = ct ||alpha|| = 1 at every c and t
     r = 0.5 * p.c * t
-    edges = np.linspace(0.0, ct, 21)  # 20 radial bins on [0, ct]
 
     def uncond(parts):
         est = montecarlo._cf_estimate(parts, n)
@@ -329,25 +334,21 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
         return est.mean, charfun.h_asymptotic(q, p), tol
 
     def atom(parts):
-        hist = montecarlo._radial_histogram(edges, parts, n)
         target = _poisson_pmf(0, lt)
-        se = math.sqrt(target * (1.0 - target) / n)
-        partition_gap = abs(float(np.sum(hist.masses)) + hist.atom_fraction - 1.0)
-        return (
-            hist.atom_fraction, target, 3.0 * se,
-            f"histogram partition gap {partition_gap:.2e}",
-        )
+        return sum(parts) / n, target, 3.0 * math.sqrt(target * (1.0 - target) / n)
 
-    def ball(hits):
+    def radial(pos, _):
+        radii = montecarlo._radii(pos, e)
+        return montecarlo._ball_hits(radii, r, e), float(radii.max())
+
+    def ball_support(parts):
+        hits, maxima = zip(*parts)
         est = montecarlo._mean_with_error(hits, hits, n)  # an indicator is its own square
-        return (
-            est.mean, density.ball_prob_asymptotic(r, t, p),
-            3.0 * est.std_error + 5.0 * t**3,
-        )
-
-    def support(radii):
-        worst = _worst(radii)
-        return _bound(worst - 1.0 - 1e-12, detail=f"max ||X||/ct = {worst:.15f}")
+        worst = _worst(maxima) / math.ldexp(ct, -e)  # radii are in units of 2^e
+        return [
+            (est.mean, density.ball_prob_asymptotic(r, t, p), 3.0 * est.std_error + 5.0 * t**3),
+            _bound(worst - 1.0 - 1e-12, detail=f"max ||X||/ct = {worst:.15f}"),
+        ]
 
     def lumped(_, ns):
         bc = np.bincount(ns, minlength=64)
@@ -366,6 +367,12 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
         stat, pval = _chisquare(observed, expected)
         return _bound(0.01 - pval, detail=f"chi2={stat:.3f} p={pval:.4f} bins={k_hi + 1}")
 
+    def moments(pos, _):
+        # in units of 2^e, as _radii takes them, so no square leaves the float range
+        pos = np.ldexp(pos, -e) if e else pos
+        # einsum("ij->j", a) is a.sum(axis=0) bit for bit (rows added in turn), six times faster
+        return np.stack([np.einsum("ij->j", pos), np.einsum("ij->j", pos * pos)])
+
     def mean_pos(parts):
         # per-chunk sums are added in chunk order, starting from zero
         sums, sumsq = sum(parts, np.zeros((2, 3)))
@@ -373,24 +380,13 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
         ses = np.sqrt((sumsq - sums * sums / n) / (n - 1) / n)
         return _bound(float(np.max(np.abs(means) - 3.0 * ses)))
 
-    # (name, per-chunk statistic, finisher over its chunk values)
-    table = [
+    return _pass(t, p, cfg, [
         (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos[:, 2], alpha), uncond),
-        (f"mc_atom_fraction_t{t:g}",
-         lambda pos, ns: montecarlo._radial_counts(pos, ns, edges), atom),
-        (f"mc_ball_prob_t{t:g}", lambda pos, _: montecarlo._ball_hits(pos, r, ct), ball),
-        (f"mc_support_t{t:g}",
-         lambda pos, _: float(montecarlo._radii(pos, e).max()) / math.ldexp(ct, -e), support),
+        (f"mc_atom_fraction_t{t:g}", lambda _, ns: np.count_nonzero(ns == 0), atom),
+        ((f"mc_ball_prob_t{t:g}", f"mc_support_t{t:g}"), radial, ball_support),
         (f"mc_switch_chisquare_t{t:g}", lumped, chisq),
-        # einsum("ij->j", a) is a.sum(axis=0) bit for bit (rows added in turn), six times faster
-        (f"mc_mean_position_t{t:g}", lambda pos, _: np.stack(
-            [np.einsum("ij->j", pos), np.einsum("ij->j", pos * pos)]), mean_pos),
-    ]
-    columns = _pass(t, p, cfg, [stat for _, stat, _ in table])
-    return [
-        (name, lambda k=k, finish=finish: finish(columns()[k]))
-        for k, (name, _, finish) in enumerate(table)
-    ]
+        (f"mc_mean_position_t{t:g}", moments, mean_pos),
+    ])
 
 
 def _ks_distance(chunks, n: int) -> float:
@@ -408,49 +404,42 @@ def _ks_distance(chunks, n: int) -> float:
     return _worst(worst)
 
 
-def _directions(p: FlightParams, t: float, cfg: McConfig) -> list:
+def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
+    t0 = t_list[0]
+    ct = p.c * t0
+    rows = []
+    # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
+    for n, analytic in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series)):
+        table = []
+        for x in (0.3, 0.5, 1.0, 2.0, 3.0):
+            def conditional(parts, alpha=x / ct, analytic=analytic):
+                est = montecarlo._cf_estimate(parts, cfg.samples)
+                q = charfun.FreqQuery(alpha_norm=alpha, t=t0)
+                return est.mean, analytic(q, p), 3.0 * est.std_error
+
+            table.append((f"mc_conditional_cf_n{n}_x{x:g}",
+                          lambda x3, _, a=x / ct: montecarlo._cf_sums(x3, a), conditional))
+        rows += _pass(t0, p, _keyed(cfg, n, cfg.samples), table, condition=n, x3=True)
+    for t in t_list:
+        rows += _mc_rows_at(p, t, cfg)
     # paths given no switch end at ct times the sampler's own unit vectors;
     # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0;
     # the KS p-value is stated for 1e4 <= n <= 1e6; each worker sorts its (z + 1)/2
-    n = min(cfg.samples, 10**6)
-    ct = p.c * t
-    sums, us = zip(*montecarlo._per_chunk(t, p, _keyed(cfg, -1, n), lambda pos, _: (
-        np.einsum("ij->j", pos), np.sort((pos[:, 2] / ct + 1.0) / 2.0)), condition=0))
-    worst_mean = float(np.max(np.abs(sum(sums) / (n * ct))))
-    pvalue = _ks_pvalue(_ks_distance(us, n), n)
-    return [
-        (worst_mean, 0.0, 4.0 / math.sqrt(n)),
-        _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),
-    ]
+    size = min(cfg.samples, 10**6)
 
+    def directions(parts):
+        sums, us = zip(*parts)
+        pvalue = _ks_pvalue(_ks_distance(us, size), size)
+        return [
+            (float(np.max(np.abs(sum(sums) / (size * ct)))), 0.0, 4.0 / math.sqrt(size)),
+            _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),
+        ]
 
-def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
-    t0 = t_list[0]
-    xs = (0.3, 0.5, 1.0, 2.0, 3.0)
-    alphas = [x / (p.c * t0) for x in xs]
-    # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
-    stats_n = [lambda x, _, a=a: montecarlo._cf_sums(x, a) for a in alphas]
-    passes = {
-        n: _pass(t0, p, _keyed(cfg, n, cfg.samples), stats_n, condition=n, x3=True)
-        for n in (1, 2, 3)
-    }
-
-    def conditional(n, analytic, j):
-        est = montecarlo._cf_estimate(passes[n]()[j], cfg.samples)
-        q = charfun.FreqQuery(alpha_norm=alphas[j], t=t0)
-        return est.mean, analytic(q, p), 3.0 * est.std_error
-
-    rows = [
-        (f"mc_conditional_cf_n{n}_x{x:g}", lambda n=n, h=h, j=j: conditional(n, h, j))
-        for n, h in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series))
-        for j, x in enumerate(xs)
-    ]
-    for t in t_list:
-        rows += _mc_rows_at(p, t, cfg)
-    return rows + [
-        (("mc_direction_component_means", "mc_direction_ks_uniform"),
-         lambda: _directions(p, t0, cfg)),
-    ]
+    return rows + _pass(t0, p, _keyed(cfg, -1, size), [(
+        ("mc_direction_component_means", "mc_direction_ks_uniform"),
+        lambda pos, _: (np.einsum("ij->j", pos), np.sort((pos[:, 2] / ct + 1.0) / 2.0)),
+        directions,
+    )], condition=0)
 
 
 def _run(rows) -> list:

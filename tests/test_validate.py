@@ -246,6 +246,17 @@ class TestRunSuite:
         assert [r.name for r in reports if not r.passed] == []
         assert all(math.isfinite(r.lhs) for r in reports)
 
+    @pytest.mark.parametrize("c", [100.0, 1e160])
+    def test_full_suite_passes_at_large_c(self, c):
+        # a fixed ||alpha|| ran the asymptotic rows' H_2 series to x = 40 at c = 100, and at
+        # c = 1e160 the squared positions overflowed and failed the unconditional pass
+        cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_suite(FlightParams(c=c, lam=2.0), (0.1,), cfg)
+        assert [r.name for r in reports] == FULL_NAMES
+        assert [r.name for r in reports if not r.passed] == []
+
     def test_draws_do_not_grow_with_lambda_t(self, monkeypatch):
         # a weight-sized stream for each n from 4 to 46 was once drawn at lam t = 20
         drawn = []  # the sizes asked for; list.append is atomic across the chunk threads
@@ -469,6 +480,21 @@ class TestSinglePass:
         )
 
 
+def test_unconditional_pass_takes_each_radius_once(monkeypatch):
+    # mc_atom_fraction, mc_ball_prob and mc_support once took _radii three times a
+    # chunk, and the atom count came from a 20-bin histogram
+    calls = []  # list.append is atomic across the chunk threads
+    radii = montecarlo._radii
+    monkeypatch.setattr(montecarlo, "_radii", lambda *args: calls.append(1) or radii(*args))
+    monkeypatch.setattr(np, "histogram", None)
+    rows = validate._mc_rows_at(P, 0.1, MC_CFG)
+    assert len(rows) == 5
+    reports = validate._run(rows)
+    assert [r.name for r in reports] == FULL_NAMES[-8:-2]
+    assert all(r.passed for r in reports), [r.detail for r in reports]
+    assert len(calls) == -(-MC_CFG.samples // montecarlo._CHUNK)
+
+
 def test_csv_bytes_equal_on_one_and_three_workers(cpus):
     # what CI checks by running the suite on every core and under taskset -c 0
     csvs = []
@@ -571,10 +597,14 @@ class TestStatisticsMatchScipyStats:
                 )
                 assert abs(pvalue - ref) <= 1e-14 * ref, y
 
+    def direction_row(self):
+        rows = dict(validate._mc_rows(P, (0.1,), self.SUITE_CFG))
+        return rows[("mc_direction_component_means", "mc_direction_ks_uniform")]
+
     def test_ks_distance_bit_equal_at_the_suite_seed(self, monkeypatch):
         seen = []
         monkeypatch.setattr(validate, "_ks_pvalue", lambda d, n: seen.append((d, n)) or 0.5)
-        validate._directions(P, 0.1, self.SUITE_CFG)
+        self.direction_row()()
         [(d, n)] = seen
         ct = P.c * 0.1
         cfg = McConfig(n, DEFAULT_SEED - 1)
@@ -583,7 +613,7 @@ class TestStatisticsMatchScipyStats:
 
     @staticmethod
     def whole_array_distance(u: np.ndarray, n: int):
-        # the form _directions once used: all n values joined, then steps and gap of length n
+        # the direction rows' old form: all n values joined, then steps and gap of length n
         u = np.sort(u)
         steps = np.arange(n + 1.0) / n
         gap = steps[1:] - u
@@ -620,7 +650,7 @@ class TestStatisticsMatchScipyStats:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         tracemalloc.start()
         try:
-            validate._directions(P, 0.1, self.SUITE_CFG)
+            self.direction_row()()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
