@@ -3,20 +3,20 @@
 H_n is the characteristic function of X(t) conditioned on exactly n direction
 switches; by isotropy each is a real radial function of x = c*t*||alpha||.
 As the Laplace transform of t^n H_n(ct a) is n! (atan(ca/s)/(ca))^(n+1), each
-H_n is one Bessel series over the arctan^(n+1) coefficients (`_term`).  H_0 and
-H_1 also have closed forms; H_2 and H_3 are the series, summed by `sum_series`
-past its peak (k + 1 > x), and raise past x ~ 37.  `h_asymptotic`, the small-time
-approximation of the unconditional one, is sum_{n<=3} P{N(t)=n} times H_0, H_1
-and the k = 0 terms of H_2 and H_3: o(t^3) at fixed frequency.
+H_n is one Bessel series over the arctan^(n+1) coefficients (`_term`).  H_0 and H_1 also
+have closed forms; H_2 and H_3 are the series, summed by `sum_series` past its peak
+(k + 1 > x), and raise from x ~ 37.5 (H_2) and 43 (H_3), and at every x past 64.
+`h_asymptotic`, the small-time approximation of the unconditional one, is
+sum_{n<=3} P{N(t)=n} times H_0, H_1 and the k = 0 terms of H_2 and H_3: o(t^3) at fixed frequency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import NonFinite
+from .errors import NonFinite, TruncationNotConverged
 from .model import FlightParams, check_radius, check_time, switch_weights
-from .specfun import bessel_j, neg_cin, si, sum_series
+from .specfun import _SWEEP_X, bessel_j, neg_cin, si, sum_series
 from .specfun import hyp5f4_unit  # noqa: F401  unused; perfbench's tracer test reads it here
 from .arctan_series import _coefficient
 
@@ -79,6 +79,8 @@ def _series(n: int, q: FreqQuery, p: FlightParams) -> float:
     x = _x(q, p)
     if x < _SMALL_X:
         return 1.0
+    if x > _SWEEP_X:  # bessel_j's domain ends here, and the sums' precision well before
+        raise TruncationNotConverged(f"H{n} series at x={x}: past x = {_SWEEP_X:g}")
     return sum_series(f"H{n} series at x={x}", lambda k: _term(n, k, x), past=x)
 
 

@@ -147,6 +147,7 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     if size == 0:
         return np.zeros(0 if x3 else (0, 3))
     ends = np.cumsum(counts + 1)
+    unit, e = math.frexp(p.c * t)  # ct = unit 2^e; rows in units of 2^e, so no ct / sum overflows
     gaps = rng.standard_exponential(int(ends[-1]))
     if not x3:
         z = _uniform(rng, int(ends[-1]), -1.0, 1.0)
@@ -157,7 +158,7 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
         rows = ends[i:j] - counts[i:j] - (lo + 1)
         width = int(counts[i]) + 1 if counts[i] < 8 and np.all(counts[i:j] == counts[i]) else None
         gap = gaps[lo:hi]
-        scale = (p.c * t) / _row_sums(gap, width, rows)
+        scale = unit / _row_sums(gap, width, rows)
         if x3:
             cols = (_uniform(rng, hi - lo, -1.0, 1.0) * gap,)
         else:
@@ -167,6 +168,8 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
             cols = (s * cos_phi * gap, s * sin_phi * gap, zb * gap)
         for k, col in enumerate(cols):
             np.multiply(_row_sums(col, width, rows), scale, out=out[i:j, k])
+    if e:
+        np.ldexp(out, e, out=out)
     return out[:, 0] if x3 else out
 
 

@@ -3,8 +3,7 @@
 Log-gamma, Bessel J of float order, the sine integral Si, the nonstandard
 cosine integral used by the characteristic functions, and two terminating
 hypergeometric sums at unit argument (log-gamma and the 3F2 sum are internal
-helpers, not exported).  All are plain Python on numpy; only Bessel J off the
-orders and arguments the series read imports scipy, for its jv.
+helpers, not exported).  All are plain Python on numpy, Bessel J where the package reads it.
 
 `sum_series`, the one truncation rule of the paper's series (H_2, H_3, the arctan powers),
 sums to a term below 1e-14 within 400 terms; `_quad` is the one integrator.  Neither is public.
@@ -136,40 +135,37 @@ def _sweep(frac: float, x: float) -> list:
     return [w * scale for w in values]
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x) for nu >= 0 and x >= 0.
+def _hankel_j1(x: float) -> float:
+    """J_1(x) for x > _SWEEP_X by Hankel's expansion (DLMF 10.17.3): sqrt(2/(pi x)) times
+    Re[(P + iQ) e^(i(x - 3 pi/4))], P + iQ = sum_k i^k a_k(1) x^-k, whose terms are below
+    1e-17 by k = 11 at x = 64; e^(-3i pi/4) = -(1 + i)/sqrt 2, so x itself is never shifted."""
+    total = term = 1.0 + 0.0j
+    for k in range(1, 14):
+        term *= 1j * (4.0 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        total += term
+    sin, cos = math.sin(x), math.cos(x)
+    return (total * complex(sin - cos, -sin - cos)).real / math.sqrt(math.pi * x)
 
-    J_{1/2} and J_{3/2} use their closed trigonometric forms.  Where 2 nu is whole,
-    nu <= _SWEEP_TOP and x <= _SWEEP_X, as at every order the H_2 and H_3 series read,
-    J is its power series where that cannot cancel (nu + 1 >= x^2), else a cached backward
-    sweep (`_sweep`).  Other inputs go to scipy's jv, imported on first use.
-    """
+
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x) on the domain the package reads: 2 nu whole,
+    nu <= _SWEEP_TOP and x <= _SWEEP_X, as at every order of the H_2 and H_3 series, and
+    nu = 1/2, 1 and 3/2 at any x >= 0.  J is its power series where that cannot cancel
+    (nu + 1 >= x^2), else the closed forms at 1/2 and 3/2, Hankel's expansion of J_1 past
+    _SWEEP_X, or a cached backward sweep (`_sweep`).  Elsewhere it raises DomainError."""
     check_radius(nu, name="nu")
     check_radius(x, name="x")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if nu == 0.5:
-        return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-    if nu == 1.5:
-        if x < 0.5:
-            # sin(x)/x - cos(x) cancels catastrophically near 0; its own series
-            # sum_m (-1)^(m+1) 2m x^(2m)/(2m+1)!, term ratio -x^2/(2m(2m+3)), is exact here,
-            # led by x^2/3 taken apart from the prefactor so that x^2 cannot underflow
-            x2 = x * x
-            poly = 1.0 - x2 / 10.0 * (1.0 - x2 / 28.0 * (1.0 - x2 / 54.0 * (
-                1.0 - x2 / 88.0 * (1.0 - x2 / 130.0 * (1.0 - x2 / 180.0))
-            )))
-            return math.sqrt(2.0 / math.pi) * x * math.sqrt(x) / 3.0 * poly
-        return math.sqrt(2.0 / (math.pi * x)) * (math.sin(x) / x - math.cos(x))
-    if nu <= _SWEEP_TOP and x <= _SWEEP_X and (2.0 * nu).is_integer():
-        return _power_series(nu, x) if nu + 1.0 >= x * x else _sweep(nu % 1.0, x)[int(nu)]
-    from scipy import special
-
-    value = float(special.jv(nu, x))
-    # jv gives nan past nu ~ 1e17; |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) says where J underflows
-    if math.isnan(value) and nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) > -746.0:
-        raise DomainError(f"bessel_j({nu}, {x}): scipy's jv returns nan")
-    return 0.0 if math.isnan(value) else value
+    whole = nu <= _SWEEP_TOP and (2.0 * nu).is_integer()
+    if whole and nu + 1.0 >= x * x:
+        return _power_series(nu, x)
+    if nu == 0.5 or nu == 1.5:
+        form = math.sin(x) if nu == 0.5 else math.sin(x) / x - math.cos(x)
+        return math.sqrt(2.0 / (math.pi * x)) * form
+    if nu == 1.0 and x > _SWEEP_X:
+        return _hankel_j1(x)
+    if whole and x <= _SWEEP_X:
+        return _sweep(nu % 1.0, x)[int(nu)]
+    raise DomainError(f"bessel_j({nu}, {x}) is outside its domain")
 
 
 def _e1_imaginary(x: float) -> complex:

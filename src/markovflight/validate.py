@@ -407,6 +407,7 @@ def _ks_distance(chunks, n: int) -> float:
 def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     ct = p.c * t0
+    unit, e = math.frexp(ct)  # the direction pass sums in units of 2^e, as `moments` does
     rows = []
     # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
     for n, analytic in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series)):
@@ -431,13 +432,14 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
         sums, us = zip(*parts)
         pvalue = _ks_pvalue(_ks_distance(us, size), size)
         return [
-            (float(np.max(np.abs(sum(sums) / (size * ct)))), 0.0, 4.0 / math.sqrt(size)),
+            (float(np.max(np.abs(sum(sums) / (size * unit)))), 0.0, 4.0 / math.sqrt(size)),
             _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),
         ]
 
     return rows + _pass(t0, p, _keyed(cfg, -1, size), [(
         ("mc_direction_component_means", "mc_direction_ks_uniform"),
-        lambda pos, _: (np.einsum("ij->j", pos), np.sort((pos[:, 2] / ct + 1.0) / 2.0)),
+        lambda pos, _: (np.einsum("ij->j", np.ldexp(pos, -e) if e else pos),
+                        np.sort((pos[:, 2] / ct + 1.0) / 2.0)),
         directions,
     )], condition=0)
 

@@ -9,6 +9,7 @@ from their terminating sums, and the series kernel `charfun._term` must sum
 to h0 and h1 at n = 0 and 1.
 """
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -253,6 +254,15 @@ class TestHAsymptotic:
         assert h_asymptotic(FreqQuery(alpha_norm=1.0, t=0.1), P) == pytest.approx(
             0.96121469216513078, rel=1e-13
         )
+
+    @pytest.mark.parametrize("x, value", [
+        (100.0, -0.004267349276360344), (1e6, -2.8657662561558766e-07),
+    ])
+    def test_past_the_sweep_without_scipy(self, monkeypatch, x, value):
+        # L_2 reads J_1 past x = 64, which once came from scipy's jv: these are its values.
+        # A None entry in sys.modules makes every scipy import fail
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        assert h_asymptotic(query_for_x(x), P) == value
 
     def test_matches_conditional_sum_to_cubic_order(self):
         # at fixed frequency the gap to the exact four-term sum is o(t^3)

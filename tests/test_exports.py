@@ -2,6 +2,7 @@
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,8 +134,14 @@ def test_import_leaves_scipy_stats_unloaded(module):
     assert _fresh(f"import sys, {module}; {SCIPY_MODULES}") == "[]"
 
 
+def test_no_module_imports_scipy():
+    # numpy is the one run-time dependency; scipy is a test oracle only
+    for path in Path(markovflight.__file__).parent.glob("*.py"):
+        assert not re.search(r"^\s*(from|import) scipy", path.read_text(), re.M), path.name
+
+
 def test_commands_load_no_scipy(tmp_path):
-    # bessel_j imports scipy only off the orders the series read, or past x = 64
+    # no module imports scipy, so neither may any command
     commands = [
         ["validate", "--samples", "100000"],
         ["simulate", "--samples", "20000"],

@@ -184,6 +184,17 @@ class TestSubstream:
         assert substream(2**64 - 1, 0).bit_generator.state["state"]["key"][0] == 2**64 - 1
 
 
+def test_endpoints_where_ct_over_a_path_sum_overflows():
+    # ct / (a path's sum of exponentials) overflowed at c = 1e308: 2,959 of 65,536 rows came
+    # back infinite.  Scaled in units of 2^e, each row is 2^1000 times its row at 2^-1000 c
+    def draw(c):
+        return sample_positions(0.1, FlightParams(c, 2.0), 2**16, substream(SEED, 9))[0]
+
+    pos = draw(1e308)
+    assert np.all(np.isfinite(pos))
+    assert np.array_equal(pos, np.ldexp(draw(math.ldexp(1e308, -1000)), 1000))
+
+
 class TestSampling:
     def test_scalar_position_support_and_counts(self):
         rng = substream(SEED, 1)

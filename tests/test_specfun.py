@@ -124,13 +124,29 @@ class TestBesselJ:
         "x", [1e-204, 1e-200, 1e-160, 1e-150, 1e-100, 1e-9, 0.0999, 0.11, 0.3, 0.49, 0.51]
     )
     def test_three_halves_relative_error_near_zero(self, x):
-        # the x^8 polynomial gave 7.4e-15 at x = 0.0999 and sin(x)/x - cos(x)
-        # 2.5e-14 at 0.11; pytest.approx's 1e-12 absolute floor would hide both.
-        # A prefactor times x^2/3 lost 4.8e-4 at 1e-160 and gave 0.0 from 1e-180
+        # the power series serves x <= sqrt(5/2); an x^8 polynomial gave 7.4e-15 at
+        # x = 0.0999 and sin(x)/x - cos(x) 2.5e-14 at 0.11; pytest.approx's 1e-12 absolute
+        # floor would hide both.  A prefactor times x^2/3 lost 4.8e-4 at 1e-160 and gave 0.0
+        # from 1e-180
         with mpmath.workdps(40):
             ref = mpmath.besselj(1.5, mpmath.mpf(x))
             err = abs((mpmath.mpf(bessel_j(1.5, x)) - ref) / ref)
         assert err <= 2e-15
+
+    @pytest.mark.parametrize("x", [64.5, 70.0, 100.0, 200.0, 1e3, 12345.6, 1e5, 1e6, 1e9, 1e12])
+    def test_j1_past_the_sweep(self, x):
+        # Hankel's expansion, within 2.5e-16 of J_1's envelope sqrt(2/(pi x)); relative
+        # error would blow up at J_1's zeros
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(bessel_j(1.0, x)) - mpmath.besselj(1, mpmath.mpf(x)))
+        assert err <= 2.5e-16 * math.sqrt(2.0 / (math.pi * x))
+
+    @pytest.mark.parametrize("nu, x", [(2.5, 100.0), (0.3, 1.0), (501.0, 30.0), (1e17, 3.0)])
+    def test_outside_the_domain(self, nu, x):
+        # a half order past the sweep, an order with 2 nu not whole, past the sweep's top
+        # order, and where scipy's jv gave nan
+        with pytest.raises(DomainError, match="outside its domain"):
+            bessel_j(nu, x)
 
     def test_trig_forms_vs_scipy(self):
         # the closed trig forms for orders 1/2 and 3/2 vs scipy's generic jv

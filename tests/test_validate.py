@@ -246,10 +246,11 @@ class TestRunSuite:
         assert [r.name for r in reports if not r.passed] == []
         assert all(math.isfinite(r.lhs) for r in reports)
 
-    @pytest.mark.parametrize("c", [100.0, 1e160])
+    @pytest.mark.parametrize("c", [100.0, 1e160, 1e308])
     def test_full_suite_passes_at_large_c(self, c):
-        # a fixed ||alpha|| ran the asymptotic rows' H_2 series to x = 40 at c = 100, and at
-        # c = 1e160 the squared positions overflowed and failed the unconditional pass
+        # a fixed ||alpha|| ran the asymptotic rows' H_2 series to x = 40 at c = 100, at
+        # c = 1e160 the squared positions overflowed and failed the unconditional pass, and
+        # at 1e308 ct over a path's sum of exponentials and the direction sums overflowed
         cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
