@@ -4,13 +4,13 @@ Sampling law: direction switches occur at the events of a Poisson(lam)
 process; between events the particle travels straight at speed c with a
 direction drawn uniformly on the unit sphere.  Conditioned on N(t) = n the
 switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
-segment lengths are n + 1 standard exponentials scaled to sum to t.  The
-batch samplers draw exactly that many segments per path, laid end to end in
-one flat array, and add each path's segments one block of whole paths at a
-time, each coordinate column with its own 1-D np.add.reduceat (by columns, in its
-order, where the block's paths share a count up to 7).  The uniforms are random()
-scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL, so
-chunks on two threads would take turns; the last draw is made block by block.
+segment lengths are n + 1 standard exponentials scaled to sum to t.  X(t) is
+the Poisson mixture of these laws, and the samplers draw it so: the counts,
+then each count present in ascending order as sample_positions_given_n draws
+it, one block of paths at a time, summed by columns in np.add.reduceat's order
+up to 8 terms and by a 1-D reduceat past them.  The uniforms are random()
+scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL,
+so chunks on two threads would take turns; the last draw is made block by block.
 Longitudes get their cosine and sine from one vectorised tan by the half-angle
 identities (`_cos_sin`), within 2.6e-16 of the exact values.  The CF estimates
 take alpha = (0, 0, ||alpha||), as the law is isotropic, draw X_3 alone (two
@@ -110,12 +110,12 @@ def _uniform(rng: np.random.Generator, size: int, low: float, high: float) -> np
     return u
 
 
-def _row_sums(col: np.ndarray, width: Optional[int], rows: np.ndarray) -> np.ndarray:
-    """np.add.reduceat(col, rows) bit for bit.  Rows of one width up to 8 are summed by
-    columns, a0 + (((a1 + a2) + a3) + ...): reduceat adds a0 to the rest summed in turn
-    from -0.0 in rows that short, and its per-row call costs far more than the adds."""
-    if width is None:
-        return np.add.reduceat(col, rows)
+def _row_sums(col: np.ndarray, width: int) -> np.ndarray:
+    """np.add.reduceat(col, np.arange(0, col.size, width)) bit for bit.  Rows up to 8 terms
+    are summed by columns, a0 + (((a1 + a2) + a3) + ...): reduceat adds a0 to the rest summed
+    in turn from -0.0 in rows that short, and its per-row call costs far more than the adds."""
+    if width > 8:
+        return np.add.reduceat(col, np.arange(0, col.size, width))
     if width == 1:
         return col
     m = col.reshape(-1, width)
@@ -129,45 +129,44 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
                x3: bool = False) -> np.ndarray:
     """Endpoints of paths with counts[i] switches each; shape (len(counts), 3).
 
-    Row i has counts[i] + 1 segments, all rows laid end to end.  A row's
-    segment lengths are its standard exponentials scaled to sum to t: the
-    gaps between n sorted uniform epochs on (0, t) have exactly that law.
-    Directions are uniform on S^2: cos(colatitude) uniform on [-1, 1] and
-    longitude on [0, 2 pi).  Nothing is sorted, so no rounding can reorder
-    epochs into a negative segment, and each row's length sums to ct up to
-    rounding.  Gaps, colatitudes and longitudes are drawn in turn, the last
-    one block of _BLOCK whole paths at a time: the same Philox words in the
-    same order.  A contiguous column's 1-D reduceat groups each row as the
-    2-D reduceat over axis 0 does, so every row is the whole-array sum bit
-    for bit, and unlike the 2-D one it releases the GIL; `_row_sums` adds
-    rows of one count up to 7 by columns in its order.  x3=True gives [:, 2]
-    alone bit for bit, without the longitudes: the colatitudes are then the last draw.
+    Each count n present, in ascending order, is drawn as sample_positions_given_n
+    draws it and written into its paths' rows: its n + 1 standard exponential
+    gaps a path, scaled to sum to t (the law of the gaps between n sorted uniform
+    epochs on (0, t)), then cos(colatitude) uniform on [-1, 1], then longitudes
+    on [0, 2 pi) one block of _BLOCK paths at a time, the same Philox words in the
+    same order.  Nothing is sorted, so no rounding can reorder epochs into a
+    negative segment.  `_row_sums` gives each row the whole-array 2-D reduceat's
+    sum bit for bit.  x3=True gives [:, 2] alone bit for bit: it draws and drops the
+    longitudes of every count but the last, and ends after the colatitudes.
     """
-    size = len(counts)
-    if size == 0:
-        return np.zeros(0 if x3 else (0, 3))
-    ends = np.cumsum(counts + 1)
     unit, e = math.frexp(p.c * t)  # ct = unit 2^e; rows in units of 2^e, so no ct / sum overflows
-    gaps = rng.standard_exponential(int(ends[-1]))
-    if not x3:
-        z = _uniform(rng, int(ends[-1]), -1.0, 1.0)
-    out = np.empty((size, 1 if x3 else 3))
-    for i in range(0, size, _BLOCK):
-        j = min(i + _BLOCK, size)
-        lo, hi = int(ends[i] - counts[i]) - 1, int(ends[j - 1])
-        rows = ends[i:j] - counts[i:j] - (lo + 1)
-        width = int(counts[i]) + 1 if counts[i] < 8 and np.all(counts[i:j] == counts[i]) else None
-        gap = gaps[lo:hi]
-        scale = unit / _row_sums(gap, width, rows)
-        if x3:
-            cols = (_uniform(rng, hi - lo, -1.0, 1.0) * gap,)
-        else:
-            zb = z[lo:hi]
-            s = np.sqrt(np.maximum(0.0, 1.0 - zb * zb))
-            cos_phi, sin_phi = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi))
-            cols = (s * cos_phi * gap, s * sin_phi * gap, zb * gap)
-        for k, col in enumerate(cols):
-            np.multiply(_row_sums(col, width, rows), scale, out=out[i:j, k])
+    out = np.empty((len(counts), 1 if x3 else 3))
+    least = counts.min(initial=0)  # bincount takes max + 1 slots, unique sorts at 7 times its cost
+    present = least + np.flatnonzero(np.bincount(counts - least))
+    for n in present:
+        paths = np.flatnonzero(counts == n)
+        w = int(n) + 1
+        gaps = rng.standard_exponential(len(paths) * w)
+        if not x3:
+            z = _uniform(rng, gaps.size, -1.0, 1.0)
+        for i in range(0, len(paths), _BLOCK):
+            lo, hi = i * w, min(gaps.size, (i + _BLOCK) * w)
+            gap = gaps[lo:hi]
+            scale = unit / _row_sums(gap, w)
+            if x3:
+                cols = (_uniform(rng, hi - lo, -1.0, 1.0) * gap,)
+            else:
+                zb = z[lo:hi]
+                s = np.sqrt(np.maximum(0.0, 1.0 - zb * zb))
+                cos_phi, sin_phi = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi))
+                cols = (s * cos_phi * gap, s * sin_phi * gap, zb * gap)
+            # a slice where every path has count n: a fancy-index write costs four times as much
+            rows = slice(i, i + _BLOCK) if len(paths) == len(counts) else paths[i:i + _BLOCK]
+            for k, col in enumerate(cols):
+                out[rows, k] = _row_sums(col, w) * scale
+        if x3 and n != present[-1]:  # draw and drop its longitudes, a block at a time
+            for lo in range(0, gaps.size, _BLOCK * w):
+                rng.random(min(_BLOCK * w, gaps.size - lo))
     if e:
         np.ldexp(out, e, out=out)
     return out[:, 0] if x3 else out
@@ -196,9 +195,9 @@ def sample_positions(
 ) -> tuple:
     """Batch of `size` unconditional endpoints.
 
-    Returns (positions, counts) with shapes (size, 3) and (size,).  Counts are
-    Poisson(lam t); each path then draws exactly counts + 1 segments, so no
-    row is padded and nothing is sorted.
+    Returns (positions, counts) with shapes (size, 3) and (size,).  The Poisson(lam t)
+    counts are drawn first, then each count present, in ascending order, as
+    sample_positions_given_n draws it, so no row is padded and nothing is sorted.
     """
     return _draw(t, p, size, rng)
 

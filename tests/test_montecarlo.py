@@ -7,7 +7,7 @@ generous (4 sigma) so the suite stays fast and seed-robust.  The batch law
 is checked against `sample_position`, a literal one-path simulator defined
 here that shares no code with the package's samplers, and the blocked
 endpoint kernel against `whole_array_endpoints`, the same arithmetic done
-once over the whole batch.
+once over all the paths of each count.
 """
 import math
 import threading
@@ -81,20 +81,22 @@ def sample_position(t: float, p: FlightParams, rng: np.random.Generator) -> Path
 
 
 def whole_array_endpoints(counts, t, p, rng):
-    """Endpoints from one pass over every segment of the batch, no blocks."""
-    if len(counts) == 0:
-        return np.zeros((0, 3))
-    segments = counts + 1
-    starts = np.concatenate([[0], np.cumsum(segments)[:-1]])
-    gaps = rng.standard_exponential(int(segments.sum()))
-    z = rng.uniform(-1.0, 1.0, len(gaps))
-    phi = rng.uniform(0.0, 2.0 * math.pi, len(gaps))
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    # the package's longitude factors, so the comparison checks the blocking bit for bit
-    cos_phi, sin_phi = montecarlo._cos_sin(phi)
-    steps = np.stack([s * cos_phi, s * sin_phi, z], axis=1) * gaps[:, None]
-    scale = (p.c * t) / np.add.reduceat(gaps, starts)
-    return np.add.reduceat(steps, starts, axis=0) * scale[:, None]
+    """Endpoints drawn count by count in ascending order, each count's paths in one
+    pass over all their segments, no blocks."""
+    out = np.zeros((len(counts), 3))
+    for n in sorted(set(counts.tolist())):
+        paths = np.flatnonzero(counts == n)
+        starts = np.arange(len(paths)) * (n + 1)
+        gaps = rng.standard_exponential(len(paths) * (n + 1))
+        z = rng.uniform(-1.0, 1.0, len(gaps))
+        phi = rng.uniform(0.0, 2.0 * math.pi, len(gaps))
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        # the package's longitude factors, so the comparison checks the blocking bit for bit
+        cos_phi, sin_phi = montecarlo._cos_sin(phi)
+        steps = np.stack([s * cos_phi, s * sin_phi, z], axis=1) * gaps[:, None]
+        scale = (p.c * t) / np.add.reduceat(gaps, starts)
+        out[paths] = np.add.reduceat(steps, starts, axis=0) * scale[:, None]
+    return out
 
 
 def _angles(kind: str, size: int) -> np.ndarray:
@@ -307,19 +309,24 @@ class _EndpointCases:
 
     @pytest.mark.parametrize("p, t", [(P, T), (P_DENSE, T_DENSE)], ids=["lt0.2", "lt3"])
     def test_poisson_counts_with_one_equal_count_block(self, p, t):
-        # the second block is summed by columns, the blocks either side by reduceat
+        # a run of 4096 paths of one count among Poisson counts
         block = montecarlo._BLOCK
         counts = substream(SEED, 50).poisson(p.lam * t, 3 * block + 5)
         counts[block:2 * block] = 2
         self.assert_same(counts, t, p, 51)
 
     def test_long_paths_at_block_edges(self):
-        # the paths either side of each block edge carry many segments
+        # a few paths carry many segments, each the only path of its count
         block = montecarlo._BLOCK
         counts = substream(SEED, 43).poisson(3.0, 3 * block + 5)
         for edge in (block, 2 * block, 3 * block):
             counts[edge - 2:edge + 2] = [17, 40, 1, 25]
         self.assert_same(counts, T_DENSE, P_DENSE, 44)
+
+
+def _draws_by_count(counts) -> list:
+    # (count, segments of all its paths), in the order the kernel draws the counts
+    return [(n, int(np.sum(counts == n)) * (n + 1)) for n in sorted(set(counts.tolist()))]
 
 
 # batches whose draws are followed word by word through the Philox stream
@@ -349,14 +356,14 @@ class TestBlockedEndpoints(_EndpointCases):
 
     @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
     def test_stream_reads_gaps_colatitudes_longitudes(self, counts):
-        # the longitudes, drawn block by block, read what one draw of them would
+        # count by count, the longitudes, drawn block by block, read what one draw of them would
         rng = substream(SEED, 52)
         montecarlo._endpoints(counts, T, P, rng)
-        total = int(np.sum(counts + 1))
         ref = substream(SEED, 52)
-        ref.standard_exponential(total)
-        ref.random(total)
-        ref.random(total)
+        for _, total in _draws_by_count(counts):
+            ref.standard_exponential(total)
+            ref.random(total)
+            ref.random(total)
         assert _philox_state(rng) == _philox_state(ref)
 
     def test_public_samplers_use_the_kernel(self):
@@ -379,12 +386,16 @@ class TestX3Endpoints(_EndpointCases):
 
     @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
     def test_stream_stops_after_the_colatitudes(self, counts):
+        # every count's longitudes are drawn and dropped but the last one's
         rng = substream(SEED, 49)
         montecarlo._endpoints(counts, T, P, rng, x3=True)
-        total = int(np.sum(counts + 1))
         ref = substream(SEED, 49)
-        ref.standard_exponential(total)
-        ref.random(total)
+        draws = _draws_by_count(counts)
+        for n, total in draws:
+            ref.standard_exponential(total)
+            ref.random(total)
+            if n != draws[-1][0]:
+                ref.random(total)
         assert _philox_state(rng) == _philox_state(ref)
 
 
@@ -398,6 +409,20 @@ def test_x3_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 2**20
+
+
+@pytest.mark.parametrize("lam_t, bound_mib", [(3.0, 5.0), (20.0, 11.0)])
+def test_poisson_kernel_peak_memory(lam_t, bound_mib):
+    # 65,536 Poisson counts: one draw of all their segments took the peak to 7.6 and 30.3 MiB
+    counts = substream(SEED, 57).poisson(lam_t, 1 << 16)
+    montecarlo._endpoints(counts[:100], 1.0, P, substream(SEED, 58))  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        montecarlo._endpoints(counts, 1.0, P, substream(SEED, 58))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def _signed_terms(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -421,9 +446,8 @@ class TestRowSums:
             col = _signed_terms(rng, 999 * width)
             if trial % 4 == 0:  # all terms zero, of either sign
                 col = rng.choice([0.0, -0.0], col.size)
-            rows = np.arange(0, col.size, width)
-            got = montecarlo._row_sums(col, width, rows)
-            want = np.add.reduceat(col, rows)
+            got = montecarlo._row_sums(col, width)
+            want = np.add.reduceat(col, np.arange(0, col.size, width))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
 
 
