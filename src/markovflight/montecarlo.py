@@ -224,11 +224,9 @@ def _per_chunk(
 
     def one(i: int, size: int):
         rng = substream(cfg.seed, i)
-        if x3:
-            return fn(_draw(t, p, size, rng, condition, x3=True)[0], None)
-        if condition is None:
+        if condition is None and not x3:
             return fn(*sample_positions(t, p, size, rng))
-        return fn(sample_positions_given_n(condition, t, p, size, rng), None)
+        return fn(_draw(t, p, size, rng, condition, x3)[0], None)
 
     workers = min(_workers(), len(sizes))
     if workers <= 1:

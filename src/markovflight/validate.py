@@ -286,24 +286,10 @@ def _chisquare(observed: np.ndarray, expected: np.ndarray) -> tuple:
     return stat, pvalue
 
 
-def _ks_pvalue(d: float, n: int) -> float:
-    """P{D_n >= d} by Stephens' scaling of Kolmogorov's limit law P{K >= y} =
-    2 sum_k (-1)^(k-1) e^(-2 k^2 y^2), in its complement form 1 - sqrt(2 pi)/y sum_k
-    e^(-(2k-1)^2 pi^2/(8 y^2)) below y = 1, where the alternating sum is slow.  For n
-    from 1e4 to 1e6 it is below the exact value wherever sqrt(n) d >= 1.40, and within
-    0.21/sqrt(n) relative of it wherever p >= 0.05."""
-    rn = math.sqrt(n)
-    y = (rn + 0.12 + 0.11 / rn) * d
-    if y < 1.0:
-        us = ((2 * k - 1) * math.pi / y for k in range(1, 6))
-        return 1.0 - math.sqrt(2.0 * math.pi) / y * math.fsum(math.exp(-u * u / 8.0) for u in us)
-    return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y) for k in range(1, 6))
-
-
-def _keyed(cfg: McConfig, n: int, samples: int) -> McConfig:
-    """The config of stream n: samples draws, seed (cfg.seed + n) mod 2^64, in
-    Python integers: a numpy uint64 seed cannot take n = -1."""
-    return McConfig(samples, (int(cfg.seed) + n) % 2**64)
+def _keyed(cfg: McConfig, n: int) -> McConfig:
+    """The config of stream n: seed (cfg.seed + n) mod 2^64, in Python integers:
+    a numpy uint64 seed near 2^64 overflows on + n."""
+    return McConfig(cfg.samples, (int(cfg.seed) + n) % 2**64)
 
 
 def _pass(t: float, p: FlightParams, cfg: McConfig, table, condition=None, x3=False) -> list:
@@ -389,25 +375,9 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
     ])
 
 
-def _ks_distance(chunks, n: int) -> float:
-    """KS distance from U(0, 1) of n values in sorted chunks, as scipy.stats.kstest takes it:
-    the largest (k + 1)/n - u_k or u_k - k/n at global rank k.  Bin by bin of width 1/16, the
-    chunks' slices are joined and sorted, so no array of all n values is made."""
-    cuts = [np.r_[0, np.searchsorted(u, np.arange(1, 16) / 16.0), len(u)] for u in chunks]
-    worst, offset = [], 0
-    for b in range(16):
-        u = np.sort(np.concatenate([c[cut[b]:cut[b + 1]] for c, cut in zip(chunks, cuts)]))
-        if len(u):
-            steps = np.arange(offset, offset + len(u) + 1.0) / n
-            worst += [np.max(steps[1:] - u), np.max(u - steps[:-1])]
-            offset += len(u)
-    return _worst(worst)
-
-
 def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
     t0 = t_list[0]
     ct = p.c * t0
-    unit, e = math.frexp(ct)  # the direction pass sums in units of 2^e, as `moments` does
     rows = []
     # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
     for n, analytic in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series)):
@@ -420,28 +390,10 @@ def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
 
             table.append((f"mc_conditional_cf_n{n}_x{x:g}",
                           lambda x3, _, a=x / ct: montecarlo._cf_sums(x3, a), conditional))
-        rows += _pass(t0, p, _keyed(cfg, n, cfg.samples), table, condition=n, x3=True)
+        rows += _pass(t0, p, _keyed(cfg, n), table, condition=n, x3=True)
     for t in t_list:
         rows += _mc_rows_at(p, t, cfg)
-    # paths given no switch end at ct times the sampler's own unit vectors;
-    # the stream is keyed seed - 1, apart from the unconditional pass's seed + 0;
-    # the KS p-value is stated for 1e4 <= n <= 1e6; each worker sorts its (z + 1)/2
-    size = min(cfg.samples, 10**6)
-
-    def directions(parts):
-        sums, us = zip(*parts)
-        pvalue = _ks_pvalue(_ks_distance(us, size), size)
-        return [
-            (float(np.max(np.abs(sum(sums) / (size * unit)))), 0.0, 4.0 / math.sqrt(size)),
-            _bound(0.01 - pvalue, detail=f"KS p={pvalue:.4f}"),
-        ]
-
-    return rows + _pass(t0, p, _keyed(cfg, -1, size), [(
-        ("mc_direction_component_means", "mc_direction_ks_uniform"),
-        lambda pos, _: (np.einsum("ij->j", np.ldexp(pos, -e) if e else pos),
-                        np.sort((pos[:, 2] / ct + 1.0) / 2.0)),
-        directions,
-    )], condition=0)
+    return rows
 
 
 def _run(rows) -> list:

@@ -2,7 +2,6 @@
 import dataclasses
 import math
 import threading
-import tracemalloc
 import warnings
 
 import mpmath
@@ -76,8 +75,6 @@ FULL_NAMES = QUICK_NAMES + [
     "mc_support_t0.1",
     "mc_switch_chisquare_t0.1",
     "mc_mean_position_t0.1",
-    "mc_direction_component_means",
-    "mc_direction_ks_uniform",
 ]
 
 
@@ -250,7 +247,7 @@ class TestRunSuite:
     def test_full_suite_passes_at_large_c(self, c):
         # a fixed ||alpha|| ran the asymptotic rows' H_2 series to x = 40 at c = 100, at
         # c = 1e160 the squared positions overflowed and failed the unconditional pass, and
-        # at 1e308 ct over a path's sum of exponentials and the direction sums overflowed
+        # at 1e308 ct over a path's sum of exponentials overflowed
         cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -259,14 +256,13 @@ class TestRunSuite:
         assert [r.name for r in reports if not r.passed] == []
 
     def test_draws_do_not_grow_with_lambda_t(self, monkeypatch):
-        # a weight-sized stream for each n from 4 to 46 was once drawn at lam t = 20
+        # a weight-sized stream for each n from 4 to 46 was once drawn at lam t = 20;
+        # every pass, the X_3 ones too, draws its paths through _draw
         drawn = []  # the sizes asked for; list.append is atomic across the chunk threads
-
-        def counting(sampler):
-            return lambda *args: drawn.append(args[-2]) or sampler(*args)
-
-        for name in ("sample_positions", "sample_positions_given_n"):
-            monkeypatch.setattr(montecarlo, name, counting(getattr(montecarlo, name)))
+        draw = montecarlo._draw
+        monkeypatch.setattr(montecarlo, "_draw", lambda t, p, size, *rest: (
+            drawn.append(size) or draw(t, p, size, *rest)
+        ))
         cfg = McConfig(samples=10**4, seed=DEFAULT_SEED)
         totals = []
         for p, t in ((FlightParams(c=5.0, lam=2.0), 0.1), (FlightParams(c=5.0, lam=20.0), 1.0)):
@@ -274,7 +270,7 @@ class TestRunSuite:
             reports = run_suite(p, (t,), cfg)
             assert all(math.isfinite(r.lhs) for r in reports), p
             totals.append(sum(drawn))
-        assert totals[0] == totals[1]
+        assert totals[0] == totals[1] == 4 * cfg.samples
 
     def test_largest_seed_runs_every_row(self):
         # the conditional streams are keyed seed + n, which wraps modulo 2^64
@@ -283,8 +279,8 @@ class TestRunSuite:
         assert all(math.isfinite(r.lhs) for r in reports)
 
     def test_numpy_seed_gives_the_int_seeds_reports(self):
-        # McConfig admits numpy integers; a uint64 seed once failed the direction
-        # rows on OverflowError, from keying their stream seed - 1
+        # McConfig admits numpy integers; np.uint64(2**64 - 1) + 3 overflows with a
+        # RuntimeWarning, so the conditional streams' keys are summed as Python integers
         seed = 2**64 - 1
         reports = run_suite(cfg=McConfig(samples=10**4, seed=np.uint64(seed)))
         assert reports == run_suite(cfg=McConfig(samples=10**4, seed=seed))
@@ -297,7 +293,6 @@ class TestRunSuite:
 
         monkeypatch.setattr(specfun, "si", boom)
         monkeypatch.setattr(montecarlo, "sample_positions", boom)
-        monkeypatch.setattr(validate, "_ks_pvalue", boom)
         reports = run_suite(cfg=McConfig(samples=10**4, seed=20260814))
         assert [r.name for r in reports] == FULL_NAMES
         failed = {r.name: r for r in reports if not r.passed}
@@ -310,8 +305,6 @@ class TestRunSuite:
             "mc_support_t0.1",
             "mc_switch_chisquare_t0.1",
             "mc_mean_position_t0.1",
-            "mc_direction_component_means",
-            "mc_direction_ks_uniform",
         ):
             assert name in failed
             assert math.isnan(failed[name].lhs)
@@ -458,11 +451,10 @@ def counted_suite():
 
 class TestSinglePass:
     def test_each_stream_is_drawn_once(self, counted_suite):
-        # one unconditional pass; one X_3 pass per switch count n = 1..3, and
-        # the direction rows' min(samples, 1e6) paths given n = 0
+        # one unconditional pass and one X_3 pass per switch count n = 1..3
         _, drawn = counted_suite
         assert drawn == {
-            "sample_positions": 10**5, "sample_positions_given_n": 10**5, "x3": 3 * 10**5,
+            "sample_positions": 10**5, "sample_positions_given_n": 0, "x3": 3 * 10**5,
         }
 
     def test_rows_equal_the_public_estimators(self, counted_suite):
@@ -491,7 +483,7 @@ def test_unconditional_pass_takes_each_radius_once(monkeypatch):
     rows = validate._mc_rows_at(P, 0.1, MC_CFG)
     assert len(rows) == 5
     reports = validate._run(rows)
-    assert [r.name for r in reports] == FULL_NAMES[-8:-2]
+    assert [r.name for r in reports] == FULL_NAMES[-6:]
     assert all(r.passed for r in reports), [r.detail for r in reports]
     assert len(calls) == -(-MC_CFG.samples // montecarlo._CHUNK)
 
@@ -505,22 +497,8 @@ def test_csv_bytes_equal_on_one_and_three_workers(cpus):
     assert csvs[0] == csvs[1]
 
 
-def test_direction_rows_read_the_samplers_draws(monkeypatch):
-    # z folded to |z| inside the sampler: the rows once drew their own directions
-    endpoints = montecarlo._endpoints
-
-    def folded(*args):
-        pos = endpoints(*args)
-        pos[:, 2] = np.abs(pos[:, 2])
-        return pos
-
-    monkeypatch.setattr(montecarlo, "_endpoints", folded)
-    failed = [r.name for r in run_suite(cfg=MC_CFG) if not r.passed]
-    assert {"mc_direction_component_means", "mc_direction_ks_uniform"} <= set(failed)
-
-
 def test_position_sums_equal_sum_over_axis_0():
-    # the per-chunk sums of the mean-position and direction rows add rows in turn, as
+    # the mean-position row's per-chunk sums add rows in turn, as
     # sum(axis=0) does; einsum("ij,ij->j", pos, pos) is not (pos * pos).sum(axis=0)
     rng = np.random.default_rng(29)
     for size in [*range(1, 201), 4095, 4096, 4097, 16960, 65536]:
@@ -530,7 +508,7 @@ def test_position_sums_equal_sum_over_axis_0():
 
 
 class TestStatisticsMatchScipyStats:
-    """The suite's Poisson, chi-square and KS arithmetic, against scipy.stats and mpmath."""
+    """The suite's Poisson and chi-square arithmetic, against scipy.stats and mpmath."""
 
     SUITE_CFG = McConfig(samples=10**6, seed=DEFAULT_SEED)
 
@@ -582,92 +560,3 @@ class TestStatisticsMatchScipyStats:
                 ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(stat) / 2, regularized=True)
                 # a NaN fails the comparison; below the normal floats only absolutely
                 assert abs(pvalue - ref) <= 5e-14 * ref + 2.0**-1022, (df, target)
-
-    def test_kolmogorov_tail_against_mpmath(self):
-        # both forms of the limit law, across their switch at y = 1
-        n = 10**4
-        scale = math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)
-        for y in np.linspace(0.01, 5.0, 250).tolist() + [1.0 - 1e-12, 1.0]:
-            d = y / scale
-            pvalue = validate._ks_pvalue(d, n)
-            with mpmath.workdps(50):
-                u = mpmath.mpf(scale * d)  # the float y that _ks_pvalue forms
-                ref = 1 - mpmath.sqrt(2 * mpmath.pi) / u * mpmath.nsum(
-                    lambda k: mpmath.exp(-(2 * k - 1) ** 2 * mpmath.pi**2 / (8 * u * u)),
-                    [1, mpmath.inf],
-                )
-                assert abs(pvalue - ref) <= 1e-14 * ref, y
-
-    def direction_row(self):
-        rows = dict(validate._mc_rows(P, (0.1,), self.SUITE_CFG))
-        return rows[("mc_direction_component_means", "mc_direction_ks_uniform")]
-
-    def test_ks_distance_bit_equal_at_the_suite_seed(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(validate, "_ks_pvalue", lambda d, n: seen.append((d, n)) or 0.5)
-        self.direction_row()()
-        [(d, n)] = seen
-        ct = P.c * 0.1
-        cfg = McConfig(n, DEFAULT_SEED - 1)
-        z = np.concatenate(montecarlo._per_chunk(0.1, P, cfg, lambda pos, _: pos[:, 2] / ct, 0))
-        assert d == stats.kstest(z, lambda x: (x + 1.0) / 2.0).statistic
-
-    @staticmethod
-    def whole_array_distance(u: np.ndarray, n: int):
-        # the direction rows' old form: all n values joined, then steps and gap of length n
-        u = np.sort(u)
-        steps = np.arange(n + 1.0) / n
-        gap = steps[1:] - u
-        d_plus = np.max(gap)
-        np.subtract(u, steps[:-1], out=gap)
-        return max(d_plus, np.max(gap))
-
-    @staticmethod
-    def chunk_sets():
-        """Sorted chunks with ties, values on the edges j/16 and just outside [0, 1], and
-        bins left empty by narrow ranges; then one chunk alone and a short last chunk."""
-        rng = np.random.default_rng(28)
-        specials = np.r_[np.arange(17) / 16.0, -2.0**-53, np.nextafter(0.0, -1.0),
-                         np.nextafter(1.0, 2.0), 1.0 + 2.0**-52]
-        for _ in range(300):
-            lo, hi = np.sort(rng.random(2))
-            yield [np.sort(np.concatenate([
-                lo + (hi - lo) * rng.random(size),
-                rng.choice(specials, rng.integers(0, 5)),
-                np.round(rng.random(rng.integers(0, 20)), 2),
-            ])) for size in rng.integers(1, 300, rng.integers(1, 6))]
-        yield [np.sort(rng.random(1000))]
-        yield [np.sort(rng.random(1000)), np.sort(rng.random(1000)), np.sort(rng.random(3))]
-
-    def test_ks_distance_bit_equal_to_the_whole_array_form(self):
-        for i, chunks in enumerate(self.chunk_sets()):
-            n = sum(map(len, chunks))
-            d = validate._ks_distance(chunks, n)
-            assert d == self.whole_array_distance(np.concatenate(chunks), n), i
-
-    def test_direction_rows_hold_no_array_of_all_samples(self, monkeypatch):
-        # on one worker at 1e6 samples, joining every z and making its steps and gaps
-        # peaked at 22.9 MiB; the sorted chunks, cut into 16 bins, peak at 12.4 MiB
-        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
-        tracemalloc.start()
-        try:
-            self.direction_row()()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20
-
-    @pytest.mark.parametrize("n", [10**4, 10**5])
-    @pytest.mark.parametrize("scaled", [1.40, 1.5, 1.628, 2.0, 3.0])
-    def test_ks_pvalue_never_above_exact_in_the_tail(self, n, scaled):
-        # so a p < 0.01 decision never passes a distance the exact law fails
-        d = scaled / math.sqrt(n)
-        assert validate._ks_pvalue(d, n) <= stats.kstwo.sf(d, n)
-
-    @pytest.mark.parametrize("n", [10**4, 10**5])
-    @pytest.mark.parametrize("scaled", [0.8, 1.0, 1.36])
-    def test_ks_pvalue_near_exact_in_the_body(self, n, scaled):
-        # the largest gap is 0.21/sqrt(n) relative, near sqrt(n) d = 0.82
-        d = scaled / math.sqrt(n)
-        exact = stats.kstwo.sf(d, n)
-        assert abs(validate._ks_pvalue(d, n) - exact) <= 0.25 / math.sqrt(n) * exact
