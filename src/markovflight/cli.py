@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va = sub.add_parser("validate", help="run the cross-check suite")
     common(va)
     va.add_argument("--seed", type=int, default=validate.DEFAULT_SEED)
-    va.add_argument("--t", type=float, action="append", default=None, help="repeatable")
+    va.add_argument("--t", type=float, default=0.1)
     va.add_argument("--samples", type=int, default=10**6)
     va.add_argument("--quick", action="store_true", help="deterministic subset only")
     va.set_defaults(fn=_cmd_validate)

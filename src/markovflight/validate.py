@@ -1,10 +1,11 @@
 """Density quadrature and the cross-check suite tying each formula to an oracle.
 
-Checks never compare a formula to itself through a shared code path: series
-implementations are paired with Monte Carlo, densities with quadrature, and
-closed forms with integral representations summed by quadrature.  Each check yields a
-CheckReport whose pass flag is exactly |lhs - rhs| <= tolerance; one-sided
-bounds are encoded with lhs = shortfall and rhs = 0.
+Checks never compare a formula to itself through a shared code path: series are paired
+with Monte Carlo, the density with the Poisson mixture of the suite's own shapes
+(`_SHAPES`), its ball masses with quadrature of those shapes, and closed forms with
+integral representations summed by quadrature.  Each check yields a CheckReport whose
+pass flag is exactly |lhs - rhs| <= tolerance; one-sided bounds are encoded with
+lhs = shortfall and rhs = 0.  The suite runs at one time t, as `simulate` does.
 
 The suite is one table of rows (names, thunk), run in order by one loop.  A
 thunk returns (lhs, rhs, tolerance[, detail]) for its one name, or one such
@@ -120,14 +121,15 @@ def _integrate(lt: float, rho: float) -> float:
 
 
 def integrate_ac_density(t: float, p: FlightParams) -> float:
-    """Radial integral of 4 pi r^2 ac_density(r) over the whole ball, which
-    equals g_tilde(t) up to a quadrature error of at most 1e-8."""
+    """Quadrature of 4 pi r^2 ac_density(r) over the whole ball, g_tilde(t) to within 1e-8:
+    the _SHAPES masses weighed by the Poisson pmf (density_vs_shapes ties them to ac_density)."""
     check_time(t)
     return _integrate(p.lam * t, 1.0)  # asin(1.0) is pi/2 exactly
 
 
 def integrate_ac_density_ball(r: float, t: float, p: FlightParams) -> float:
-    """Radial integral of 4 pi s^2 ac_density(s) over [0, r], 0 <= r < ct, to within 1e-8."""
+    """Quadrature of 4 pi s^2 ac_density(s) over [0, r], 0 <= r < ct, to within 1e-8: the
+    _SHAPES masses inside r/ct weighed by the Poisson pmf, as in integrate_ac_density."""
     check_time(t)
     check_radius(r, p.c * t)  # where c t overflows, ct exceeds every float
     # rho = r/(c t) with the powers of two apart, so c t never overflows or underflows
@@ -175,46 +177,6 @@ def _si_cin_reference() -> list:
     ]
 
 
-def _static_rows_at(p: FlightParams, t: float) -> list:
-    def mass_tol() -> float:
-        # each shape is within 1e-8 and the weights sum to g_tilde, so the quadrature
-        # is within 1e-8 g_tilde; a flat 1e-6 passed a 1% error in P_2 at lam t = 1e-3
-        return 1e-6 * density.g_tilde(t, p)
-
-    def ball_limit():
-        val = density.ball_prob_asymptotic(np.nextafter(p.c * t, 0.0), t, p)
-        return val, density.g_tilde(t, p), 1e-8
-
-    def monotone():
-        prof = density.radial_profile(t, p, 500, p.c * t * (1.0 - 1.0 / 500))
-        return _bound(-float(np.min(np.diff(prof.values))))
-
-    rows = [
-        (f"est_full_vs_gtilde_t{t:g}",
-         lambda: (integrate_ac_density(t, p), density.g_tilde(t, p), mass_tol())),
-    ]
-    for ratio in (0.2, 0.5, 0.8, 0.95):
-        rows.append((
-            f"ball_series_vs_quadrature_t{t:g}_r{ratio:g}",
-            lambda r=ratio * p.c * t: (
-                density.ball_prob_asymptotic(r, t, p), integrate_ac_density_ball(r, t, p),
-                mass_tol(),
-            ),
-        ))
-    return rows + [
-        (f"ball_limit_gtilde_t{t:g}", ball_limit),
-        (f"gap_identity_t{t:g}", lambda: (
-            density.switch_tail_error(t, p),
-            density.g_exact(t, p) - density.g_tilde(t, p),
-            1e-15,
-        )),
-        (f"density_origin_continuity_t{t:g}", lambda: (
-            density.ac_density(1e-6 * p.c * t, t, p), density.ac_density(0.0, t, p), 1e-10
-        )),
-        (f"profile_monotone_t{t:g}", monotone),
-    ]
-
-
 def _h_bound(p: FlightParams, t: float) -> tuple:
     hs = (charfun.h0, charfun.h1, charfun.h2_series, charfun.h3_series)
     qs = (charfun.FreqQuery(float(x) / (p.c * t), t) for x in np.linspace(0.2, 20.0, 100))
@@ -243,7 +205,36 @@ def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
     return _worst(map(ratio, alphas)), 0.0, 1.0, "worst remainder / bound"
 
 
-def _static_rows(p: FlightParams, t_list) -> list:
+def _density_vs_shapes(p: FlightParams, t: float) -> tuple:
+    """4 pi rho^2 ac_density at ct = 1, so c never enters, against the pmf's mixture of the
+    _SHAPES integrands in rho, the sqrt one over d(rho)/d(theta) = sqrt(1 - rho^2); that
+    factor scales rho's rounding by 1/(1 - rho), so rho stops at 0.99."""
+    (log, _), (sqrt, _), (const, _) = _SHAPES.values()
+    weights = _poisson_pmf(np.arange(1, 4), min(p.lam * t, 1e308))
+    gaps = []
+    for rho in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        shapes = (log(rho), sqrt(math.asin(rho)) / math.sqrt(1.0 - rho * rho), const(rho))
+        mixture = math.fsum(w * f for w, f in zip(weights, shapes))
+        ac = 4.0 * math.pi * rho * rho * density.ac_density(rho, t, FlightParams(1.0 / t, p.lam))
+        # subnormal weights carry fewer digits, and from lam t = 745 on every weight is 0
+        gaps.append(abs(ac - mixture) / max(mixture, np.finfo(float).tiny))
+    return _worst(gaps), 0.0, 1e-12, "worst relative gap"
+
+
+def _static_rows(p: FlightParams, t: float) -> list:
+    def mass_tol() -> float:
+        # each shape is within 1e-8 and the weights sum to g_tilde, so the quadrature
+        # is within 1e-8 g_tilde; a flat 1e-6 passed a 1% error in P_2 at lam t = 1e-3
+        return 1e-6 * density.g_tilde(t, p)
+
+    def ball_limit():
+        val = density.ball_prob_asymptotic(np.nextafter(p.c * t, 0.0), t, p)
+        return val, density.g_tilde(t, p), 1e-8
+
+    def monotone():
+        prof = density.radial_profile(t, p, 500, p.c * t * (1.0 - 1.0 / 500))
+        return _bound(-float(np.min(np.diff(prof.values))))
+
     rows = [(f"arctan_pow_grid_n{n}", lambda n=n: _arctan_grid(n)) for n in (1, 2, 3, 4)]
     rows += [
         ("gamma_sum_identity_grid", _gamma_sum),
@@ -253,17 +244,32 @@ def _static_rows(p: FlightParams, t_list) -> list:
         (("si_against_reference", "neg_cin_against_reference"), _si_cin_reference),
         (tuple(f"shape_mass_{name}" for name in _SHAPES),
          lambda: [(mass, 1.0, 1e-10) for mass in _shape_masses(1.0, 1e-11)]),
+        (f"est_full_vs_gtilde_t{t:g}",
+         lambda: (integrate_ac_density(t, p), density.g_tilde(t, p), mass_tol())),
     ]
-    for t in t_list:
-        rows += _static_rows_at(p, t)
-    rows.append(("h_bound_grid", lambda: _h_bound(p, t_list[0])))
+    for ratio in (0.2, 0.5, 0.8, 0.95):
+        rows.append((f"ball_series_vs_quadrature_t{t:g}_r{ratio:g}", lambda r=ratio * p.c * t: (
+            density.ball_prob_asymptotic(r, t, p), integrate_ac_density_ball(r, t, p), mass_tol(),
+        )))
+    rows += [
+        (f"ball_limit_gtilde_t{t:g}", ball_limit),
+        (f"gap_identity_t{t:g}", lambda: (density.switch_tail_error(t, p),
+                                           density.g_exact(t, p) - density.g_tilde(t, p), 1e-15)),
+        (f"density_origin_continuity_t{t:g}", lambda: (
+            density.ac_density(1e-6 * p.c * t, t, p), density.ac_density(0.0, t, p), 1e-10
+        )),
+        (f"density_vs_shapes_t{t:g}", lambda: _density_vs_shapes(p, t)),
+        (f"profile_monotone_t{t:g}", monotone),
+        ("h_bound_grid", lambda: _h_bound(p, t)),
+    ]
     for lam_w, t_w in ((1.0, 0.7), (1.5, 0.5), (2.0, 0.4), (2.5, 0.3)):
         rows.append((f"window_endpoint_lam{lam_w:g}", lambda lam_w=lam_w, t_w=t_w: (
             density.switch_tail_error(t_w, FlightParams(p.c, lam_w)), 0.0, 0.01,
             f"G - Gtilde at t={t_w}",
         )))
-    for t in (0.2, 0.1, 0.05):
-        rows.append((f"h_asym_vs_conditional_sum_t{t:g}", lambda t=t: _asym_vs_sum(p, t)))
+    # their own times: the rows above read t when they run, so no loop may rebind it
+    for t_a in (0.2, 0.1, 0.05):
+        rows.append((f"h_asym_vs_conditional_sum_t{t_a:g}", lambda t_a=t_a: _asym_vs_sum(p, t_a)))
     return rows
 
 
@@ -303,14 +309,27 @@ def _pass(t: float, p: FlightParams, cfg: McConfig, table, condition=None, x3=Fa
             for k, (names, _, finish) in enumerate(table)]
 
 
-def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
-    """The unconditional rows at t, read from one pass over its stream."""
+def _mc_rows(p: FlightParams, t: float, cfg: McConfig) -> list:
+    """The X_3 rows, one pass per switch count, then the unconditional rows, one pass at t."""
     lt = p.lam * t
     ct = p.c * t
     e = math.frexp(ct)[1]
     n = cfg.samples
     alpha = 1.0 / ct  # x = ct ||alpha|| = 1 at every c and t
     r = 0.5 * p.c * t
+    rows = []
+    # one X_3 pass per switch count k (n is the finishers'), keyed seed + k, for every frequency
+    for k, analytic in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series)):
+        table = []
+        for x in (0.3, 0.5, 1.0, 2.0, 3.0):
+            def conditional(parts, alpha=x / ct, analytic=analytic):
+                est = montecarlo._cf_estimate(parts, n)
+                q = charfun.FreqQuery(alpha_norm=alpha, t=t)
+                return est.mean, analytic(q, p), 3.0 * est.std_error
+
+            table.append((f"mc_conditional_cf_n{k}_x{x:g}",
+                          lambda x3, _, a=x / ct: montecarlo._cf_sums(x3, a), conditional))
+        rows += _pass(t, p, _keyed(cfg, k), table, condition=k, x3=True)
 
     def uncond(parts):
         est = montecarlo._cf_estimate(parts, n)
@@ -366,34 +385,13 @@ def _mc_rows_at(p: FlightParams, t: float, cfg: McConfig) -> list:
         ses = np.sqrt((sumsq - sums * sums / n) / (n - 1) / n)
         return _bound(float(np.max(np.abs(means) - 3.0 * ses)))
 
-    return _pass(t, p, cfg, [
+    return rows + _pass(t, p, cfg, [
         (f"mc_uncond_cf_t{t:g}", lambda pos, _: montecarlo._cf_sums(pos[:, 2], alpha), uncond),
         (f"mc_atom_fraction_t{t:g}", lambda _, ns: np.count_nonzero(ns == 0), atom),
         ((f"mc_ball_prob_t{t:g}", f"mc_support_t{t:g}"), radial, ball_support),
         (f"mc_switch_chisquare_t{t:g}", lumped, chisq),
         (f"mc_mean_position_t{t:g}", moments, mean_pos),
     ])
-
-
-def _mc_rows(p: FlightParams, t_list, cfg: McConfig) -> list:
-    t0 = t_list[0]
-    ct = p.c * t0
-    rows = []
-    # one X_3 pass per switch count n, keyed seed + n, gives the CF sums at every frequency
-    for n, analytic in ((1, charfun.h1), (2, charfun.h2_series), (3, charfun.h3_series)):
-        table = []
-        for x in (0.3, 0.5, 1.0, 2.0, 3.0):
-            def conditional(parts, alpha=x / ct, analytic=analytic):
-                est = montecarlo._cf_estimate(parts, cfg.samples)
-                q = charfun.FreqQuery(alpha_norm=alpha, t=t0)
-                return est.mean, analytic(q, p), 3.0 * est.std_error
-
-            table.append((f"mc_conditional_cf_n{n}_x{x:g}",
-                          lambda x3, _, a=x / ct: montecarlo._cf_sums(x3, a), conditional))
-        rows += _pass(t0, p, _keyed(cfg, n), table, condition=n, x3=True)
-    for t in t_list:
-        rows += _mc_rows_at(p, t, cfg)
-    return rows
 
 
 def _run(rows) -> list:
@@ -415,32 +413,21 @@ def _run(rows) -> list:
     return reports
 
 
-def run_suite(p=None, t_list=None, cfg=None, quick: bool = False) -> list:
-    """Execute every formula/oracle pairing and return the reports.
+def run_suite(p=FlightParams(5.0, 2.0), t: float = 0.1, cfg=McConfig(10**6, DEFAULT_SEED),
+              quick: bool = False) -> list:
+    """Execute every formula/oracle pairing at the time t and return the reports.
 
-    quick=True restricts the run to the deterministic (non Monte Carlo)
-    subset.  The full default suite uses 1e6 samples per estimate and a fixed
-    seed, so it is deterministic as well; it needs at least 1e4 samples.
-    Inputs are checked before any row runs: an empty t_list, a t that is not
-    finite and > 0, two t with one row-name tag, or too few samples raise DomainError.
+    quick=True restricts the run to the deterministic (non Monte Carlo) subset.  The full
+    default suite uses 1e6 samples per estimate and a fixed seed, so it is deterministic as
+    well; it needs at least 1e4 samples.  Inputs are checked before any row runs: a t that
+    is not finite and > 0, or too few samples, raise DomainError.
     """
-    if p is None:
-        p = FlightParams(c=5.0, lam=2.0)
-    if t_list is None:
-        t_list = (0.1,)
-    if cfg is None:
-        cfg = McConfig(samples=10**6, seed=DEFAULT_SEED)
-    if not t_list:
-        raise DomainError("t_list needs at least one t")
-    for t in t_list:
-        check_time(t)
-    if len({f"{t:g}" for t in t_list}) < len(t_list):
-        raise DomainError(f"two t values give the same row names: {list(t_list)}")
+    check_time(t)
     if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
         raise DomainError(
             f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"
         )
-    rows = _static_rows(p, t_list)
+    rows = _static_rows(p, t)
     if not quick:
-        rows += _mc_rows(p, t_list, cfg)
+        rows += _mc_rows(p, t, cfg)
     return _run(rows)

@@ -54,7 +54,7 @@ PUBLIC_PARAMETERS = {
     "radial_profile": "t p n_points r_max",
     "report_lines": "reports",
     "reports_to_csv": "reports",
-    "run_suite": "p t_list cfg quick",
+    "run_suite": "p t cfg quick",
     "sample_positions": "t p size rng",
     "sample_positions_given_n": "n t p size rng",
     "si": "x",

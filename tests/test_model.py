@@ -113,7 +113,7 @@ TIME_TAKERS = {
     "radial_histogram": lambda t: radial_histogram(t, P, CFG, bins=4),
     "integrate_ac_density": lambda t: integrate_ac_density(t, P),
     "integrate_ac_density_ball": lambda t: integrate_ac_density_ball(0.1, t, P),
-    "run_suite": lambda t: run_suite(P, (t,), quick=True),
+    "run_suite": lambda t: run_suite(P, t, quick=True),
 }
 
 # every public callable that takes a radius, with its name for the radius

@@ -117,7 +117,7 @@ def failing_rows(fault, cfg: McConfig = CFG) -> list:
     """The Monte Carlo rows at t = 0.1 that fail with the fault in place."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, *fault())
-        reports = validate._run(validate._mc_rows(P, (0.1,), cfg))
+        reports = validate._run(validate._mc_rows(P, 0.1, cfg))
     return [r.name for r in reports if not r.passed]
 
 

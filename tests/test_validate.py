@@ -56,6 +56,7 @@ QUICK_NAMES = [
     "ball_limit_gtilde_t0.1",
     "gap_identity_t0.1",
     "density_origin_continuity_t0.1",
+    "density_vs_shapes_t0.1",
     "profile_monotone_t0.1",
     "h_bound_grid",
     "window_endpoint_lam1",
@@ -238,7 +239,7 @@ class TestRunSuite:
         cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reports = run_suite(FlightParams(c=5.0, lam=lam), (0.1,), cfg)
+            reports = run_suite(FlightParams(c=5.0, lam=lam), 0.1, cfg)
         assert [r.name for r in reports] == FULL_NAMES
         assert [r.name for r in reports if not r.passed] == []
         assert all(math.isfinite(r.lhs) for r in reports)
@@ -251,7 +252,7 @@ class TestRunSuite:
         cfg = McConfig(samples=10**5, seed=DEFAULT_SEED)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reports = run_suite(FlightParams(c=c, lam=2.0), (0.1,), cfg)
+            reports = run_suite(FlightParams(c=c, lam=2.0), 0.1, cfg)
         assert [r.name for r in reports] == FULL_NAMES
         assert [r.name for r in reports if not r.passed] == []
 
@@ -267,7 +268,7 @@ class TestRunSuite:
         totals = []
         for p, t in ((FlightParams(c=5.0, lam=2.0), 0.1), (FlightParams(c=5.0, lam=20.0), 1.0)):
             drawn.clear()
-            reports = run_suite(p, (t,), cfg)
+            reports = run_suite(p, t, cfg)
             assert all(math.isfinite(r.lhs) for r in reports), p
             totals.append(sum(drawn))
         assert totals[0] == totals[1] == 4 * cfg.samples
@@ -315,30 +316,30 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(cfg=McConfig(samples=montecarlo._MIN_CF_SAMPLES - 1, seed=1))
 
-    @pytest.mark.parametrize("t_list", [
-        (), (0.0,), (-0.1,), (math.nan,), (math.inf,),
-        (0.1, 0.1000001), (0.1, 0.1),  # one row-name tag for two t
-    ])
-    def test_bad_times_raise_before_any_row(self, monkeypatch, t_list):
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_times_raise_before_any_row(self, monkeypatch, t):
         monkeypatch.setattr(validate, "_run", None)
         with pytest.raises(DomainError):
-            run_suite(t_list=t_list)
+            run_suite(t=t)
 
     def test_quadrature_rows_at_large_lambda_t(self):
         # at lam t = 20 the bare const bracket was 1333; an absolute quadrature
         # tol of 1e-11 there raised on an estimate of 1.5e-11
-        reports = run_suite(FlightParams(c=5.0, lam=20.0), (1.0,), quick=True)
+        reports = run_suite(FlightParams(c=5.0, lam=20.0), 1.0, quick=True)
         quad = [r for r in reports if r.name.startswith(("shape_mass_", "est_", "ball_series_"))]
         assert len(quad) == 8
         assert [r.name for r in quad if not r.passed] == []
 
     def test_shape_rows_catch_a_scaled_const_shape(self, monkeypatch):
         # at lam t = 1e-3 the const bracket is 1.7e-10: the per-t rows compared it
-        # with (lam t)^3/6 under an absolute 1e-10, and all 31 rows passed
+        # with (lam t)^3/6 under an absolute 1e-10, and all 31 rows passed; the density
+        # row reads the shapes too, and ac_density no longer matches them
         f, upper = validate._SHAPES["const"]
         monkeypatch.setitem(validate._SHAPES, "const", (lambda x: 1.5 * f(x), upper))
         reports = run_suite(FlightParams(c=5.0, lam=1e-2), quick=True)
-        assert [r.name for r in reports if not r.passed] == ["shape_mass_const"]
+        assert [r.name for r in reports if not r.passed] == [
+            "shape_mass_const", "density_vs_shapes_t0.1",
+        ]
 
     def test_ball_rows_catch_a_one_percent_error_in_p2(self, monkeypatch):
         # ball_prob_asymptotic reading P_2 1% high: at lam t = 1e-3 the r0.8 and r0.95
@@ -360,10 +361,32 @@ class TestRunSuite:
             "ball_series_vs_quadrature_t0.1_r0.8", "ball_series_vs_quadrature_t0.1_r0.95",
         ]
 
+    @pytest.mark.parametrize("lam,scales", [
+        (2.0, (1.000001, 1.000001, 1.000001)),  # ac_density 1e-6 high
+        (1e-2, (1.0, 1.001, 1.0)),  # its P_2 term 1e-3 high, at lam t = 1e-3
+    ])
+    def test_density_row_catches_a_skewed_density(self, monkeypatch, lam, scales):
+        # the quadrature rows integrate _SHAPES, not ac_density: with ac_density at
+        # 1.1 times its value every other row passed
+        weights, ac = density.switch_weights, density.ac_density
+
+        def skewed(t, p):
+            w0, *ws, tail = weights(t, p)
+            return w0, *(s * w for s, w in zip(scales, ws)), tail
+
+        def skewed_ac(r, t, p):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(density, "switch_weights", skewed)
+                return ac(r, t, p)
+
+        monkeypatch.setattr(density, "ac_density", skewed_ac)
+        reports = run_suite(FlightParams(c=5.0, lam=lam), quick=True)
+        assert [r.name for r in reports if not r.passed] == ["density_vs_shapes_t0.1"]
+
     def test_asymptotic_rows_pass_at_large_lambda(self):
         # the bound on h_asymptotic's remainder scales with lam; a flat 5 t^3
         # failed all three rows at lam t = 10
-        reports = run_suite(FlightParams(c=5.0, lam=10.0), (1.0,), quick=True)
+        reports = run_suite(FlightParams(c=5.0, lam=10.0), 1.0, quick=True)
         assert [r.name for r in reports if not r.passed] == []
 
     def test_asymptotic_rows_catch_dropped_bessel_shapes(self, monkeypatch):
@@ -480,9 +503,9 @@ def test_unconditional_pass_takes_each_radius_once(monkeypatch):
     radii = montecarlo._radii
     monkeypatch.setattr(montecarlo, "_radii", lambda *args: calls.append(1) or radii(*args))
     monkeypatch.setattr(np, "histogram", None)
-    rows = validate._mc_rows_at(P, 0.1, MC_CFG)
-    assert len(rows) == 5
-    reports = validate._run(rows)
+    rows = validate._mc_rows(P, 0.1, MC_CFG)
+    assert len(rows) == 3 * 5 + 5  # the X_3 passes' rows, then the unconditional pass's
+    reports = validate._run(rows[15:])
     assert [r.name for r in reports] == FULL_NAMES[-6:]
     assert all(r.passed for r in reports), [r.detail for r in reports]
     assert len(calls) == -(-MC_CFG.samples // montecarlo._CHUNK)
@@ -536,7 +559,7 @@ class TestStatisticsMatchScipyStats:
             return chisquare(observed, expected)
 
         monkeypatch.setattr(validate, "_chisquare", recording)
-        rows = validate._mc_rows_at(P, 0.1, self.SUITE_CFG)
+        rows = validate._mc_rows(P, 0.1, self.SUITE_CFG)
         dict(rows)["mc_switch_chisquare_t0.1"]()
         [(observed, expected)] = seen
         assert len(observed) >= 3
