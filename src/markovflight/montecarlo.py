@@ -6,10 +6,10 @@ direction drawn uniformly on the unit sphere.  Conditioned on N(t) = n the
 switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  X(t) is
 the Poisson mixture of these laws, and the samplers draw it so: the counts,
-then each count present in ascending order as sample_positions_given_n draws
-it, one block of paths at a time, summed by columns in np.add.reduceat's order
-up to 8 terms and by a 1-D reduceat past them.  The uniforms are random()
-scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL,
+then each count present in ascending order as sample_positions_given_n draws it, a block
+of at most 4096 paths and 16,384 segments at a time, in place, summed by columns in
+np.add.reduceat's order up to 8 terms and by a 1-D reduceat past them.  The uniforms are
+random() scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL,
 so chunks on two threads would take turns; the last draw is made block by block.
 Longitudes get their cosine and sine from one vectorised tan by the half-angle
 identities (`_cos_sin`), within 2.6e-16 of the exact values.  The CF estimates
@@ -50,10 +50,11 @@ __all__ = [
 _MIN_CF_SAMPLES = 10_000
 # Samples per chunk: chunk k of a stream is drawn from substream(seed, k).
 _CHUNK = 1 << 16
-# Paths per block of the endpoint kernel: its trig and reduction temporaries
-# are a block's size, so a chunk's working memory stays flat.
+# Paths and segments per block of the endpoint kernel: its trig and reduction
+# temporaries are a block's size, so a chunk's working memory stays flat as lam t grows.
 _BLOCK = 1 << 12
-# Most segments one sampler call may draw: three float64 draws each, about 1.5 GB.
+_SEGMENTS = 1 << 14
+# Most segments one sampler call may draw: it holds one count's gaps and colatitudes, 1 GiB.
 _MAX_SEGMENTS = 1 << 26
 
 
@@ -80,17 +81,24 @@ def _cos_sin(a: np.ndarray) -> tuple:
     scalar libm, so this costs a third of the pair; both are within 2.3e-16 of
     libm and 2.6e-16 of the exact values.
     """
-    tau = np.tan(0.5 * a)
-    d = 1.0 + tau * tau
-    return (1.0 - tau) * (1.0 + tau) / d, 2.0 * tau / d
+    tau = np.multiply(0.5, a)  # a new array: a is not written
+    np.tan(tau, out=tau)
+    d = tau * tau
+    d += 1.0
+    sin_a = np.multiply(2.0, tau)
+    cos_a = np.add(1.0, tau)
+    cos_a *= np.subtract(1.0, tau, out=tau)
+    return np.divide(cos_a, d, out=cos_a), np.divide(sin_a, d, out=sin_a)
 
 
 def _radii(pos: np.ndarray, e: int = 0) -> np.ndarray:
-    """Row norms of an (n, 3) array over 2^e, bit for bit np.linalg.norm(pos, axis=1) / 2^e by
-    the same additions, without its strided reduction, while no square leaves the float range;
-    at e = frexp(ct)[1] rows are within 1, and only coordinates below 2^-511 ct lose squares."""
-    x, y, z = (np.ldexp(pos, -e) if e else pos).T
-    return np.sqrt(x * x + y * y + z * z)
+    """Row norms of (n, 3) pos over 2^e, np.linalg.norm(np.ldexp(pos, -e), axis=1) bit for bit
+    by its additions, a scaled column at a time: no (n, 3) copy, no strided reduction.  At
+    e = frexp(ct)[1] rows are within 1, and only coordinates below 2^-511 ct lose squares."""
+    r, sq = np.zeros(len(pos)), np.empty(len(pos))
+    for k in range(3):  # x*x, + y*y, + z*z, one scaled column at a time
+        r += np.square(np.ldexp(pos[:, k], -e, out=sq), out=sq)
+    return np.sqrt(r, out=r)
 
 
 def _check_draw(t: float, p: FlightParams, segments: float) -> None:
@@ -132,44 +140,51 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     Each count n present, in ascending order, is drawn as sample_positions_given_n
     draws it and written into its paths' rows: its n + 1 standard exponential
     gaps a path, scaled to sum to t (the law of the gaps between n sorted uniform
-    epochs on (0, t)), then cos(colatitude) uniform on [-1, 1], then longitudes
-    on [0, 2 pi) one block of _BLOCK paths at a time, the same Philox words in the
-    same order.  Nothing is sorted, so no rounding can reorder epochs into a
-    negative segment.  `_row_sums` gives each row the whole-array 2-D reduceat's
-    sum bit for bit.  x3=True gives [:, 2] alone bit for bit: it draws and drops the
-    longitudes of every count but the last, and ends after the colatitudes.
+    epochs on (0, t)), then cos(colatitude) uniform on [-1, 1], then longitudes on [0, 2 pi)
+    a block at a time, at most _BLOCK paths and _SEGMENTS segments (or one path), the same
+    Philox words in the same order.  Nothing is sorted, so no rounding can reorder epochs into
+    a negative segment.  Blocks work in place; `_row_sums` gives each row the whole-array 2-D
+    reduceat's sum bit for bit.  x3=True gives [:, 2] alone bit for bit: it draws and drops
+    the longitudes of every count but the last, and ends after the colatitudes.
     """
     unit, e = math.frexp(p.c * t)  # ct = unit 2^e; rows in units of 2^e, so no ct / sum overflows
     out = np.empty((len(counts), 1 if x3 else 3))
-    least = counts.min(initial=0)  # bincount takes max + 1 slots, unique sorts at 7 times its cost
-    present = least + np.flatnonzero(np.bincount(counts - least))
+    # bincount takes max - least + 1 slots, unique sorts at 7 times its cost; one count needs
+    # neither, nor an index: its rows are written by slices, 4 times faster than by an index
+    least, most = (counts.min(), counts.max()) if len(counts) else (0, -1)
+    present = [most] if least == most else least + np.flatnonzero(np.bincount(counts - least))
     for n in present:
-        paths = np.flatnonzero(counts == n)
-        w = int(n) + 1
-        gaps = rng.standard_exponential(len(paths) * w)
-        if not x3:
-            z = _uniform(rng, gaps.size, -1.0, 1.0)
-        for i in range(0, len(paths), _BLOCK):
-            lo, hi = i * w, min(gaps.size, (i + _BLOCK) * w)
-            gap = gaps[lo:hi]
-            scale = unit / _row_sums(gap, w)
-            if x3:
-                cols = (_uniform(rng, hi - lo, -1.0, 1.0) * gap,)
-            else:
-                zb = z[lo:hi]
-                s = np.sqrt(np.maximum(0.0, 1.0 - zb * zb))
-                cos_phi, sin_phi = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi))
-                cols = (s * cos_phi * gap, s * sin_phi * gap, zb * gap)
-            # a slice where every path has count n: a fancy-index write costs four times as much
-            rows = slice(i, i + _BLOCK) if len(paths) == len(counts) else paths[i:i + _BLOCK]
-            for k, col in enumerate(cols):
-                out[rows, k] = _row_sums(col, w) * scale
-        if x3 and n != present[-1]:  # draw and drop its longitudes, a block at a time
-            for lo in range(0, gaps.size, _BLOCK * w):
-                rng.random(min(_BLOCK * w, gaps.size - lo))
-    if e:
-        np.ldexp(out, e, out=out)
+        paths = None if least == most else np.flatnonzero(counts == n)
+        _count_rows(out, paths, int(n) + 1, unit, rng, x3, x3 and n != present[-1])
+    np.ldexp(out, e, out=out)
     return out[:, 0] if x3 else out
+
+
+def _count_rows(out, paths, w: int, unit: float, rng, x3: bool, drop: bool) -> None:
+    """Draw one count's w-segment paths into out[paths] (every row if None); its draws die here."""
+    m = len(out) if paths is None else len(paths)
+    step = min(_BLOCK, _SEGMENTS // w) or 1
+    gaps = rng.standard_exponential(m * w)
+    z = None if x3 else _uniform(rng, gaps.size, -1.0, 1.0)
+    for i in range(0, m, step):
+        lo, hi = i * w, min(gaps.size, (i + step) * w)
+        gap = gaps[lo:hi]
+        scale = unit / _row_sums(gap, w)
+        if x3:
+            cols = (_uniform(rng, hi - lo, -1.0, 1.0),)
+        else:
+            cols = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi)) + (z[lo:hi],)
+            s = np.multiply(cols[2], cols[2])  # sqrt(max(0, 1 - z z)), in place
+            np.sqrt(np.maximum(0.0, np.subtract(1.0, s, out=s), out=s), out=s)
+            for col in cols[:2]:
+                col *= s
+        rows = slice(i, i + step) if paths is None else paths[i:i + step]
+        for k, col in enumerate(cols):
+            row = _row_sums(np.multiply(col, gap, out=col), w)
+            row *= scale
+            out[rows, k] = row
+    for lo in range(0, gaps.size if drop else 0, step * w):  # drop longitudes, a block at a time
+        rng.random(min(step * w, gaps.size - lo))
 
 
 def _draw(t: float, p: FlightParams, size: int, rng: np.random.Generator,
@@ -179,7 +194,7 @@ def _draw(t: float, p: FlightParams, size: int, rng: np.random.Generator,
         check_count(n, "n")
     check_count(size, "size")
     _check_draw(t, p, size * (p.lam * t + 1.0) if n is None else size * (n + 1))
-    counts = rng.poisson(p.lam * t, size) if n is None else np.full(size, n)
+    counts = rng.poisson(p.lam * t, size) if n is None else np.broadcast_to(n, size)
     return _endpoints(counts, t, p, rng, x3), counts
 
 
@@ -271,7 +286,7 @@ def _radial_counts(pos: np.ndarray, counts: np.ndarray, edges: np.ndarray) -> tu
     atom = len(pos) - len(radii)
     edges = np.ldexp(edges, -e)
     # array edges: numpy 2.4's sort-free uniform-bin path measured 2-4x slower
-    hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1]), bins=edges)
+    hist, _ = np.histogram(np.clip(radii, 0.0, edges[-1], out=radii), bins=edges)
     return hist.astype(float), atom
 
 

@@ -130,6 +130,12 @@ class TestCosSin:
                 assert abs(c - mpmath.cos(x)) <= 3e-16
                 assert abs(s - mpmath.sin(x)) <= 3e-16
 
+    def test_argument_is_not_written(self):
+        a = _angles("0,2pi", 5000)
+        before = a.copy()
+        montecarlo._cos_sin(a)
+        assert np.array_equal(a, before)
+
     def test_unit_vectors_have_norm_one(self):
         # a path with no switch ends at ct times its one direction
         pos = sample_positions_given_n(0, T, P, 10**6, substream(SEED, 71))
@@ -137,7 +143,7 @@ class TestCosSin:
 
 
 class TestRadii:
-    """_radii is np.linalg.norm(pos, axis=1) bit for bit."""
+    """_radii(pos, e) is np.linalg.norm(np.ldexp(pos, -e), axis=1) bit for bit."""
 
     def test_sampler_output(self):
         pos, _ = sample_positions(T_DENSE, P_DENSE, 100_000, substream(SEED, 72))
@@ -146,6 +152,14 @@ class TestRadii:
     def test_gaussian_rows(self):
         pos = substream(SEED, 73).standard_normal((10**6, 3))
         assert np.array_equal(montecarlo._radii(pos), np.linalg.norm(pos, axis=1))
+
+    @pytest.mark.parametrize("e", [3, -7, 600])
+    def test_rows_in_units_of_a_power_of_two(self, e):
+        # e = 3 is the histogram's unit at ct = 5; e = 600 takes some squares below the
+        # normal range
+        pos, _ = sample_positions(T_DENSE, P_DENSE, 100_000, substream(SEED, 74))
+        want = np.linalg.norm(np.ldexp(pos, -e), axis=1)
+        assert np.array_equal(montecarlo._radii(pos, e), want)
 
 
 @pytest.mark.parametrize("scale", [2.0**664, 2.0**-664], ids=["huge_c", "tiny_c"])
@@ -315,6 +329,18 @@ class _EndpointCases:
         counts[block:2 * block] = 2
         self.assert_same(counts, t, p, 51)
 
+    @pytest.mark.parametrize("n", [4, 40, 20_000])
+    def test_counts_split_by_the_segment_cap(self, n):
+        # a block holds _SEGMENTS // (n + 1) paths, fewer than _BLOCK, or one path past _SEGMENTS
+        step = max(1, montecarlo._SEGMENTS // (n + 1))
+        assert step < montecarlo._BLOCK
+        self.assert_same(np.full(2 * step + 3, n), T, P, 46)
+
+    def test_poisson_counts_split_by_the_segment_cap(self):
+        # lambda t = 20: every count past 3 is split into blocks of fewer than _BLOCK paths
+        counts = substream(SEED, 40).poisson(20.0, 3 * montecarlo._BLOCK + 5)
+        self.assert_same(counts, 1.0, FlightParams(5.0, 20.0), 41)
+
     def test_long_paths_at_block_edges(self):
         # a few paths carry many segments, each the only path of its count
         block = montecarlo._BLOCK
@@ -334,7 +360,9 @@ STREAM_COUNTS = [
     np.full(4097, 3),
     substream(SEED, 48).poisson(3.0, 3 * montecarlo._BLOCK + 5),
     np.zeros(10, dtype=np.int64),
+    substream(SEED, 48).poisson(20.0, 3 * montecarlo._BLOCK + 5),
 ]
+STREAM_IDS = ["n3", "poisson3", "n0", "poisson20"]
 
 
 def _philox_state(rng: np.random.Generator) -> list:
@@ -354,7 +382,7 @@ class TestBlockedEndpoints(_EndpointCases):
         assert got.shape == (len(counts), 3)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
+    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=STREAM_IDS)
     def test_stream_reads_gaps_colatitudes_longitudes(self, counts):
         # count by count, the longitudes, drawn block by block, read what one draw of them would
         rng = substream(SEED, 52)
@@ -384,7 +412,7 @@ class TestX3Endpoints(_EndpointCases):
         assert got.shape == (len(counts),)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=["n3", "poisson3", "n0"])
+    @pytest.mark.parametrize("counts", STREAM_COUNTS, ids=STREAM_IDS)
     def test_stream_stops_after_the_colatitudes(self, counts):
         # every count's longitudes are drawn and dropped but the last one's
         rng = substream(SEED, 49)
@@ -423,6 +451,45 @@ def test_poisson_kernel_peak_memory(lam_t, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+def _traced_peak(fn) -> int:
+    fn()  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One 65,536-path chunk each.  Each bound lies between the traced peak and that of a kernel
+# whose blocks made copies and counted paths alone, held a count's draws into the next
+# count's, and built a count array and an index for an equal-count draw.
+def test_histogram_chunk_peak_memory():
+    # sample_positions and _radial_counts at lambda t = 3, c t = 5: 4.84 MiB there, 4.08 here
+    edges = np.linspace(0.0, CT_DENSE, 41)
+
+    def chunk():
+        rng = substream(SEED, 59)
+        return montecarlo._radial_counts(*sample_positions(T_DENSE, P_DENSE, 1 << 16, rng), edges)
+
+    assert _traced_peak(chunk) <= 4.5 * 2**20
+
+
+def test_dense_kernel_peak_memory():
+    # 65,536 Poisson(20) counts: 9.70 MiB there, 4.40 here
+    counts = substream(SEED, 57).poisson(20.0, 1 << 16)
+    peak = _traced_peak(lambda: montecarlo._endpoints(counts, 1.0, P, substream(SEED, 58)))
+    assert peak <= 6 * 2**20
+
+
+def test_equal_count_x3_draw_peak_memory():
+    # X_3 given 3 switches: 3.91 MiB there (3.41 of them in the kernel), 2.81 here
+    def draw():
+        return montecarlo._draw(T, P, 1 << 16, substream(SEED, 53), 3, x3=True)
+
+    assert _traced_peak(draw) <= 3.2 * 2**20
 
 
 def _signed_terms(rng: np.random.Generator, size: int) -> np.ndarray:
