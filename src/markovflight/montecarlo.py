@@ -7,10 +7,11 @@ switch epochs are the order statistics of n uniforms on (0, t), so the n + 1
 segment lengths are n + 1 standard exponentials scaled to sum to t.  X(t) is
 the Poisson mixture of these laws, and the samplers draw it so: the counts,
 then each count present in ascending order as sample_positions_given_n draws it, a block
-of at most 4096 paths and 16,384 segments at a time, in place, summed by columns in
-np.add.reduceat's order up to 8 terms and by a 1-D reduceat past them.  The uniforms are
-random() scaled, Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL,
-so chunks on two threads would take turns; the last draw is made block by block.
+of at most 4096 paths and 8,192 segments at a time (16,384 for X_3 alone), in place in
+one buffer that holds the block's steps and gaps, summed by columns in np.add.reduceat's
+order up to 8 terms and by a 1-D reduceat past them.  The uniforms are random() scaled,
+Generator.uniform bit for bit: uniform and a 2-D reduceat hold the GIL, so chunks on two
+threads would take turns; the last draw is made block by block.
 Longitudes get their cosine and sine from one vectorised tan by the half-angle
 identities (`_cos_sin`), within 2.6e-16 of the exact values.  The CF estimates
 take alpha = (0, 0, ||alpha||), as the law is isotropic, draw X_3 alone (two
@@ -50,10 +51,11 @@ __all__ = [
 _MIN_CF_SAMPLES = 10_000
 # Samples per chunk: chunk k of a stream is drawn from substream(seed, k).
 _CHUNK = 1 << 16
-# Paths and segments per block of the endpoint kernel: its trig and reduction
-# temporaries are a block's size, so a chunk's working memory stays flat as lam t grows.
+# Paths and segments per block of the endpoint kernel: its trig and reduction temporaries
+# are a block's size, 64 KiB at 8,192 segments (X_3 alone makes one, of twice that), so a
+# chunk's working memory stays flat as lam t grows.
 _BLOCK = 1 << 12
-_SEGMENTS = 1 << 14
+_SEGMENTS = 1 << 13
 # Most segments one sampler call may draw: it holds one count's gaps and colatitudes, 1 GiB.
 _MAX_SEGMENTS = 1 << 26
 
@@ -74,21 +76,20 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def _cos_sin(a: np.ndarray) -> tuple:
-    """(cos a, sin a) from one tau = tan(a / 2) by the half-angle identities.
+def _cos_sin(a: np.ndarray, out: np.ndarray) -> None:
+    """cos a and sin a into out[0] and out[1] from one tau = tan(a / 2) by the half-angle
+    identities; a and out[2] are scratch, overwritten.
 
     numpy runs float64 tan in SIMD where the CPU has it, but cos and sin in
     scalar libm, so this costs a third of the pair; both are within 2.3e-16 of
     libm and 2.6e-16 of the exact values.
     """
-    tau = np.multiply(0.5, a)  # a new array: a is not written
-    np.tan(tau, out=tau)
-    d = tau * tau
+    tau = np.multiply(0.5, a, out=a)
+    d = np.multiply(tau, np.tan(tau, out=tau), out=out[2])
     d += 1.0
-    sin_a = np.multiply(2.0, tau)
-    cos_a = np.add(1.0, tau)
-    cos_a *= np.subtract(1.0, tau, out=tau)
-    return np.divide(cos_a, d, out=cos_a), np.divide(sin_a, d, out=sin_a)
+    np.multiply(2.0, tau, out=out[1])
+    np.multiply(np.add(1.0, tau, out=out[0]), np.subtract(1.0, tau, out=tau), out=out[0])
+    out[:2] /= d
 
 
 def _radii(pos: np.ndarray, e: int = 0) -> np.ndarray:
@@ -141,11 +142,11 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     draws it and written into its paths' rows: its n + 1 standard exponential
     gaps a path, scaled to sum to t (the law of the gaps between n sorted uniform
     epochs on (0, t)), then cos(colatitude) uniform on [-1, 1], then longitudes on [0, 2 pi)
-    a block at a time, at most _BLOCK paths and _SEGMENTS segments (or one path), the same
-    Philox words in the same order.  Nothing is sorted, so no rounding can reorder epochs into
-    a negative segment.  Blocks work in place; `_row_sums` gives each row the whole-array 2-D
-    reduceat's sum bit for bit.  x3=True gives [:, 2] alone bit for bit: it draws and drops
-    the longitudes of every count but the last, and ends after the colatitudes.
+    a block at a time, at most _BLOCK paths and _SEGMENTS segments (2 _SEGMENTS with x3; or
+    one path), the same Philox words in the same order.  Nothing is sorted, so no rounding can
+    reorder epochs into a negative segment.  Blocks work in place; `_row_sums` gives each row
+    the whole-array 2-D reduceat's sum bit for bit.  x3=True gives [:, 2] alone bit for bit: it
+    draws and drops the longitudes of every count but the last, and ends after the colatitudes.
     """
     unit, e = math.frexp(p.c * t)  # ct = unit 2^e; rows in units of 2^e, so no ct / sum overflows
     out = np.empty((len(counts), 1 if x3 else 3))
@@ -154,35 +155,44 @@ def _endpoints(counts: np.ndarray, t: float, p: FlightParams, rng: np.random.Gen
     least, most = (counts.min(), counts.max()) if len(counts) else (0, -1)
     present = [most] if least == most else least + np.flatnonzero(np.bincount(counts - least))
     for n in present:
-        paths = None if least == most else np.flatnonzero(counts == n)
+        # int32 halves a count's index: sizes stay below _MAX_SEGMENTS = 2^26
+        paths = None if least == most else np.flatnonzero(counts == n).astype(np.int32)
         _count_rows(out, paths, int(n) + 1, unit, rng, x3, x3 and n != present[-1])
     np.ldexp(out, e, out=out)
     return out[:, 0] if x3 else out
 
 
 def _count_rows(out, paths, w: int, unit: float, rng, x3: bool, drop: bool) -> None:
-    """Draw one count's w-segment paths into out[paths] (every row if None); its draws die here."""
+    """Draw one count's w-segment paths into out[paths] (every row if None); its draws die here.
+    A block's X, Y and Z steps and its gaps are the rows of one contiguous buffer, so one
+    `_row_sums` call sums them all: two threads take turns on each numpy call's set-up.
+    X_3 alone needs no buffer, so its blocks are twice as long."""
     m = len(out) if paths is None else len(paths)
-    step = min(_BLOCK, _SEGMENTS // w) or 1
+    step = min(_BLOCK, (2 if x3 else 1) * _SEGMENTS // w) or 1
     gaps = rng.standard_exponential(m * w)
     z = None if x3 else _uniform(rng, gaps.size, -1.0, 1.0)
+    flat = None if x3 else np.empty(4 * min(gaps.size, step * w))
     for i in range(0, m, step):
         lo, hi = i * w, min(gaps.size, (i + step) * w)
         gap = gaps[lo:hi]
-        scale = unit / _row_sums(gap, w)
-        if x3:
-            cols = (_uniform(rng, hi - lo, -1.0, 1.0),)
-        else:
-            cols = _cos_sin(_uniform(rng, hi - lo, 0.0, 2.0 * math.pi)) + (z[lo:hi],)
-            s = np.multiply(cols[2], cols[2])  # sqrt(max(0, 1 - z z)), in place
-            np.sqrt(np.maximum(0.0, np.subtract(1.0, s, out=s), out=s), out=s)
-            for col in cols[:2]:
-                col *= s
         rows = slice(i, i + step) if paths is None else paths[i:i + step]
-        for k, col in enumerate(cols):
-            row = _row_sums(np.multiply(col, gap, out=col), w)
-            row *= scale
-            out[rows, k] = row
+        if x3:
+            z_b = _uniform(rng, hi - lo, -1.0, 1.0)
+            row = _row_sums(np.multiply(z_b, gap, out=z_b), w)
+            row *= unit / _row_sums(gap, w)
+            out[rows, 0] = row
+            continue
+        b = flat[:4 * (hi - lo)].reshape(4, hi - lo)
+        a = _uniform(rng, hi - lo, 0.0, 2.0 * math.pi)
+        _cos_sin(a, b)  # its scratch row is the Z steps' below
+        s = np.multiply(z[lo:hi], z[lo:hi], out=a)  # sqrt(1 - z z), as z z <= 1 on [-1, 1]
+        b[:2] *= np.sqrt(np.subtract(1.0, s, out=s), out=s)
+        b[:2] *= gap
+        np.multiply(z[lo:hi], gap, out=b[2])
+        b[3] = gap
+        sums = _row_sums(b.reshape(-1), w).reshape(4, -1)
+        sums[:3] *= unit / sums[3]
+        out[rows] = sums[:3].T
     for lo in range(0, gaps.size if drop else 0, step * w):  # drop longitudes, a block at a time
         rng.random(min(step * w, gaps.size - lo))
 
@@ -262,10 +272,13 @@ def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate
 
 
 def _cf_sums(proj: np.ndarray, alpha_norm: float) -> tuple:
-    # v = 1 - cos(alpha x_3) by the half-angle identity: no cancellation as alpha x_3 -> 0
-    tau2 = np.tan((0.5 * alpha_norm) * proj) ** 2
-    v = 2.0 * tau2 / (1.0 + tau2)
-    return np.sum(v), np.sum(v * v)
+    # v = 1 - cos(alpha x_3) by the half-angle identity: no cancellation as alpha x_3 -> 0;
+    # in two buffers, each op on the operands and in the order of 2 tau^2 / (1 + tau^2)
+    tau2 = np.multiply(0.5 * alpha_norm, proj)
+    np.square(np.tan(tau2, out=tau2), out=tau2)
+    v = np.add(1.0, tau2)
+    np.divide(np.multiply(2.0, tau2, out=tau2), v, out=v)
+    return np.sum(v), np.sum(np.multiply(v, v, out=tau2))
 
 
 def _cf_estimate(parts, n: int) -> McEstimate:

@@ -112,11 +112,11 @@ def _power_series(nu: float, x: float) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _sweep(frac: float, x: float) -> list:
-    """[J_frac(x), J_{frac+1}(x), ...], frac 0 or 1/2, good to order min(_SWEEP_TOP, x^2), by
-    Miller's backward recurrence from 40 orders higher (Gautschi, SIAM Review 9, 1967).  A value past
-    2^900 scales the run by 2^-900; what that drives below 2^-1022 is subnormal once
-    normalised too.  J_0 + 2 sum J_2k = 1 normalises the whole orders, and
+def _sweep(frac: float, x: float) -> np.ndarray:
+    """[J_frac(x), J_{frac+1}(x), ...] as float64, frac 0 or 1/2, good to order min(_SWEEP_TOP,
+    x^2), by Miller's backward recurrence from 40 orders higher (Gautschi, SIAM Review 9, 1967).
+    A value past 2^900 scales the run by 2^-900; what that drives below 2^-1022 is subnormal
+    once normalised too.  J_0 + 2 sum J_2k = 1 normalises the whole orders, and
     sqrt(2/(pi x)) sin x = J_1/2 or cos x = J_-1/2, the larger, the half orders."""
     above, here, values = 0.0, 2.0**-900, []
     for v in range(min(_SWEEP_TOP, int(x * x)) + 40, -1 if frac else 0, -1):
@@ -125,14 +125,12 @@ def _sweep(frac: float, x: float) -> list:
             values = [w * 2.0**-900 for w in values]
             above, here = above * 2.0**-900, here * 2.0**-900
         values.append(here)
-    values.reverse()  # values[i] is J_{frac+i}, from i = -1 for the half orders
+    values = np.array(values[::-1])  # values[i] is J_{frac+i}, from i = -1 for the half orders
     if frac:
         sin, cos = math.sin(x), math.cos(x)
         form, at = (sin, 1) if abs(sin) > abs(cos) else (cos, 0)
-        scale = math.sqrt(2.0 / (math.pi * x)) * form / values[at]
-        return [w * scale for w in values[1:]]
-    scale = 1.0 / math.fsum([values[0], *(2.0 * w for w in values[2::2])])
-    return [w * scale for w in values]
+        return values[1:] * (math.sqrt(2.0 / (math.pi * x)) * form / values[at])
+    return values * (1.0 / math.fsum([values[0], *(2.0 * values[2::2])]))
 
 
 def _hankel_j1(x: float) -> float:
@@ -164,7 +162,7 @@ def bessel_j(nu: float, x: float) -> float:
     if nu == 1.0 and x > _SWEEP_X:
         return _hankel_j1(x)
     if whole and x <= _SWEEP_X:
-        return _sweep(nu % 1.0, x)[int(nu)]
+        return float(_sweep(nu % 1.0, x)[int(nu)])
     raise DomainError(f"bessel_j({nu}, {x}) is outside its domain")
 
 

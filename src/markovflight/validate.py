@@ -177,10 +177,11 @@ def _si_cin_reference() -> list:
     ]
 
 
-def _h_bound(p: FlightParams, t: float) -> tuple:
+def _h_bound() -> tuple:
+    # the conditional H_n read x = ct ||alpha|| alone, so c = t = 1 and ||alpha|| = x at every ct
     hs = (charfun.h0, charfun.h1, charfun.h2_series, charfun.h3_series)
-    qs = (charfun.FreqQuery(float(x) / (p.c * t), t) for x in np.linspace(0.2, 20.0, 100))
-    worst = _worst(abs(h(q, p)) for q in qs for h in hs)
+    qs = (charfun.FreqQuery(float(x), 1.0) for x in np.linspace(0.2, 20.0, 100))
+    worst = _worst(abs(h(q, FlightParams(1.0, 1.0))) for q in qs for h in hs)
     return _bound(worst - 1.0 - 1e-12, detail=f"max|H|={worst:.6f}")
 
 
@@ -206,16 +207,17 @@ def _asym_vs_sum(p: FlightParams, t: float) -> tuple:
 
 
 def _density_vs_shapes(p: FlightParams, t: float) -> tuple:
-    """4 pi rho^2 ac_density at ct = 1, so c never enters, against the pmf's mixture of the
-    _SHAPES integrands in rho, the sqrt one over d(rho)/d(theta) = sqrt(1 - rho^2); that
-    factor scales rho's rounding by 1/(1 - rho), so rho stops at 0.99."""
+    """4 pi rho^2 ac_density at c = t = 1 and intensity lam t, so c never enters, against the
+    pmf's mixture of the _SHAPES integrands in rho, the sqrt one over d(rho)/d(theta) =
+    sqrt(1 - rho^2); that factor scales rho's rounding by 1/(1 - rho), so rho stops at 0.99."""
     (log, _), (sqrt, _), (const, _) = _SHAPES.values()
-    weights = _poisson_pmf(np.arange(1, 4), min(p.lam * t, 1e308))
+    lt = min(max(p.lam * t, 5e-324), 1e308)  # a FlightParams intensity: finite and > 0
+    weights = _poisson_pmf(np.arange(1, 4), lt)
     gaps = []
     for rho in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         shapes = (log(rho), sqrt(math.asin(rho)) / math.sqrt(1.0 - rho * rho), const(rho))
         mixture = math.fsum(w * f for w, f in zip(weights, shapes))
-        ac = 4.0 * math.pi * rho * rho * density.ac_density(rho, t, FlightParams(1.0 / t, p.lam))
+        ac = 4.0 * math.pi * rho * rho * density.ac_density(rho, 1.0, FlightParams(1.0, lt))
         # subnormal weights carry fewer digits, and from lam t = 745 on every weight is 0
         gaps.append(abs(ac - mixture) / max(mixture, np.finfo(float).tiny))
     return _worst(gaps), 0.0, 1e-12, "worst relative gap"
@@ -260,7 +262,7 @@ def _static_rows(p: FlightParams, t: float) -> list:
         )),
         (f"density_vs_shapes_t{t:g}", lambda: _density_vs_shapes(p, t)),
         (f"profile_monotone_t{t:g}", monotone),
-        ("h_bound_grid", lambda: _h_bound(p, t)),
+        ("h_bound_grid", _h_bound),
     ]
     for lam_w, t_w in ((1.0, 0.7), (1.5, 0.5), (2.0, 0.4), (2.5, 0.3)):
         rows.append((f"window_endpoint_lam{lam_w:g}", lambda lam_w=lam_w, t_w=t_w: (
@@ -375,8 +377,9 @@ def _mc_rows(p: FlightParams, t: float, cfg: McConfig) -> list:
     def moments(pos, _):
         # in units of 2^e, as _radii takes them, so no square leaves the float range
         pos = np.ldexp(pos, -e) if e else pos
-        # einsum("ij->j", a) is a.sum(axis=0) bit for bit (rows added in turn), six times faster
-        return np.stack([np.einsum("ij->j", pos), np.einsum("ij->j", pos * pos)])
+        # einsum("ij->j", a) is a.sum(axis=0) bit for bit (rows added in turn), six times faster;
+        # "ij,ij->j" adds the rounded products in turn, so it needs no squared copy
+        return np.stack([np.einsum("ij->j", pos), np.einsum("ij,ij->j", pos, pos)])
 
     def mean_pos(parts):
         # per-chunk sums are added in chunk order, starting from zero

@@ -92,7 +92,9 @@ def whole_array_endpoints(counts, t, p, rng):
         phi = rng.uniform(0.0, 2.0 * math.pi, len(gaps))
         s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         # the package's longitude factors, so the comparison checks the blocking bit for bit
-        cos_phi, sin_phi = montecarlo._cos_sin(phi)
+        trig = np.empty((3, len(phi)))
+        montecarlo._cos_sin(phi, trig)
+        cos_phi, sin_phi = trig[:2]
         steps = np.stack([s * cos_phi, s * sin_phi, z], axis=1) * gaps[:, None]
         scale = (p.c * t) / np.add.reduceat(gaps, starts)
         out[paths] = np.add.reduceat(steps, starts, axis=0) * scale[:, None]
@@ -109,6 +111,13 @@ def _angles(kind: str, size: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
 
 
+def _cos_sin(a: np.ndarray) -> tuple:
+    # the package's factors, on a copy: _cos_sin takes its argument as scratch
+    out = np.empty((3, len(a)))
+    montecarlo._cos_sin(a.copy(), out)
+    return out[0], out[1]
+
+
 class TestCosSin:
     """cos and sin by the half-angle identities on one tan."""
 
@@ -117,24 +126,27 @@ class TestCosSin:
     @pytest.mark.parametrize("kind", KINDS)
     def test_against_libm(self, kind):
         a = _angles(kind, 10**6)
-        cos_a, sin_a = montecarlo._cos_sin(a)
+        cos_a, sin_a = _cos_sin(a)
         assert np.max(np.abs(cos_a - np.cos(a))) <= 4.5e-16
         assert np.max(np.abs(sin_a - np.sin(a))) <= 4.5e-16
 
     def test_against_mpmath(self):
         a = np.concatenate([_angles(kind, 2000)[i::3] for i, kind in enumerate(self.KINDS)])
         assert len(a) == 2000
-        cos_a, sin_a = montecarlo._cos_sin(a)
+        cos_a, sin_a = _cos_sin(a)
         with mpmath.workdps(50):
             for x, c, s in zip(a.tolist(), cos_a.tolist(), sin_a.tolist()):
                 assert abs(c - mpmath.cos(x)) <= 3e-16
                 assert abs(s - mpmath.sin(x)) <= 3e-16
 
-    def test_argument_is_not_written(self):
-        a = _angles("0,2pi", 5000)
-        before = a.copy()
-        montecarlo._cos_sin(a)
-        assert np.array_equal(a, before)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_in_place_form_keeps_the_values(self, kind):
+        # the out-of-place expression _cos_sin computed before it took scratch buffers
+        a = _angles(kind, 10**5)
+        tau = np.tan(0.5 * a)
+        d = tau * tau + 1.0
+        for got, want in zip(_cos_sin(a), ((1.0 + tau) * (1.0 - tau) / d, 2.0 * tau / d)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_unit_vectors_have_norm_one(self):
         # a path with no switch ends at ct times its one direction
@@ -331,7 +343,8 @@ class _EndpointCases:
 
     @pytest.mark.parametrize("n", [4, 40, 20_000])
     def test_counts_split_by_the_segment_cap(self, n):
-        # a block holds _SEGMENTS // (n + 1) paths, fewer than _BLOCK, or one path past _SEGMENTS
+        # a block holds _SEGMENTS // (n + 1) paths (X_3 blocks twice that), fewer than _BLOCK,
+        # or one path past _SEGMENTS
         step = max(1, montecarlo._SEGMENTS // (n + 1))
         assert step < montecarlo._BLOCK
         self.assert_same(np.full(2 * step + 3, n), T, P, 46)
@@ -467,21 +480,22 @@ def _traced_peak(fn) -> int:
 # whose blocks made copies and counted paths alone, held a count's draws into the next
 # count's, and built a count array and an index for an equal-count draw.
 def test_histogram_chunk_peak_memory():
-    # sample_positions and _radial_counts at lambda t = 3, c t = 5: 4.84 MiB there, 4.08 here
+    # sample_positions and _radial_counts at lambda t = 3, c t = 5: 4.84 MiB there, 4.08 with
+    # 16,384-segment blocks and fresh trig temporaries, 3.46 here
     edges = np.linspace(0.0, CT_DENSE, 41)
 
     def chunk():
         rng = substream(SEED, 59)
         return montecarlo._radial_counts(*sample_positions(T_DENSE, P_DENSE, 1 << 16, rng), edges)
 
-    assert _traced_peak(chunk) <= 4.5 * 2**20
+    assert _traced_peak(chunk) <= 3.8 * 2**20
 
 
 def test_dense_kernel_peak_memory():
-    # 65,536 Poisson(20) counts: 9.70 MiB there, 4.40 here
+    # 65,536 Poisson(20) counts: 9.70 MiB there, 4.40 with 16,384-segment blocks, 3.75 here
     counts = substream(SEED, 57).poisson(20.0, 1 << 16)
     peak = _traced_peak(lambda: montecarlo._endpoints(counts, 1.0, P, substream(SEED, 58)))
-    assert peak <= 6 * 2**20
+    assert peak <= 4.1 * 2**20
 
 
 def test_equal_count_x3_draw_peak_memory():
@@ -708,6 +722,24 @@ class TestEstimateCf:
         est = estimate_cf(2.0, T, P, cfg)
         assert est.samples == 70_001
         assert math.isfinite(est.mean) and est.std_error > 0
+
+
+class TestCfSums:
+    """_cf_sums in two buffers gives the sums of the out-of-place expression bit for bit; both
+    rest on tan, so CI also runs this with the AVX-512 dispatch off."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, None], ids=["n1", "n2", "n3", "poisson"])
+    def test_out_of_place_sums(self, n):
+        rng = substream(SEED, 90 + (n or 0))
+        if n is None:  # the unconditional pass's column, a strided view of the chunk
+            x3 = sample_positions(T, P, 1 << 16, rng)[0][:, 2]
+        else:
+            x3 = montecarlo._draw(T, P, 1 << 16, rng, n, x3=True)[0]
+        # the suite's frequencies x / ct, and one where v is about 1e-18
+        for alpha in (0.3 / CT, 0.5 / CT, 1.0 / CT, 2.0 / CT, 3.0 / CT, 1e-8):
+            tau2 = np.tan((0.5 * alpha) * x3) ** 2
+            v = 2.0 * tau2 / (1.0 + tau2)
+            assert montecarlo._cf_sums(x3, alpha) == (np.sum(v), np.sum(v * v)), alpha
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, None], ids=["n1", "n2", "n3", "poisson"])

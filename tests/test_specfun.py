@@ -179,6 +179,40 @@ def test_bessel_j_at_every_order_the_series_read(x):
                 assert err <= 1e-14 * abs(ref), (nu, x)
 
 
+def _list_sweep(frac: float, x: float) -> list:
+    """specfun._sweep as it was when its cache held lists of Python floats."""
+    above, here, values = 0.0, 2.0**-900, []
+    for v in range(min(specfun._SWEEP_TOP, int(x * x)) + 40, -1 if frac else 0, -1):
+        above, here = here, 2.0 * (v + frac) / x * here - above
+        if abs(here) > 2.0**900:
+            values = [w * 2.0**-900 for w in values]
+            above, here = above * 2.0**-900, here * 2.0**-900
+        values.append(here)
+    values.reverse()
+    if frac:
+        sin, cos = math.sin(x), math.cos(x)
+        form, at = (sin, 1) if abs(sin) > abs(cos) else (cos, 0)
+        scale = math.sqrt(2.0 / (math.pi * x)) * form / values[at]
+        return [w * scale for w in values[1:]]
+    scale = 1.0 / math.fsum([values[0], *(2.0 * w for w in values[2::2])])
+    return [w * scale for w in values]
+
+
+@pytest.mark.parametrize("x", SWEEP_XS + [12.25])
+def test_sweep_arrays_keep_the_list_values(x):
+    # the cache holds float64 arrays, not lists of Python floats, and bessel_j still
+    # returns a Python float; x = 12.25 reaches the top order, 500
+    for frac in (0.0, 0.5):
+        want = _list_sweep(frac, x)
+        got = specfun._sweep(frac, x)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        for k in range(len(want)):
+            nu = k + frac
+            if nu + 1.0 < x * x and nu not in (0.5, 1.5) and nu <= 500:  # read from the sweep
+                j = bessel_j(nu, x)
+                assert type(j) is float and j.hex() == want[k].hex(), nu
+
+
 @pytest.mark.parametrize("x", [3.9, 4.0, 4.1, 7.0, 9.99, 10.01, 1e5])
 def test_sine_and_cosine_integrals_at_their_switches(x):
     # si and neg_cin leave their Taylor series at 4 for the continued fraction of E_1(ix);

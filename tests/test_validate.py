@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -521,13 +522,65 @@ def test_csv_bytes_equal_on_one_and_three_workers(cpus):
 
 
 def test_position_sums_equal_sum_over_axis_0():
-    # the mean-position row's per-chunk sums add rows in turn, as
-    # sum(axis=0) does; einsum("ij,ij->j", pos, pos) is not (pos * pos).sum(axis=0)
+    # the mean-position row's per-chunk sums add rows in turn, as sum(axis=0) does, and
+    # einsum("ij,ij->j", pos, pos) adds the rounded products so, with no fused multiply-add
     rng = np.random.default_rng(29)
     for size in [*range(1, 201), 4095, 4096, 4097, 16960, 65536]:
         pos = rng.standard_normal((size, 3)) * 10.0 ** rng.integers(-8, 8, (size, 3))
         assert np.array_equal(np.einsum("ij->j", pos), pos.sum(axis=0)), size
-        assert np.array_equal(np.einsum("ij->j", pos * pos), (pos * pos).sum(axis=0)), size
+        assert np.array_equal(np.einsum("ij,ij->j", pos, pos), (pos * pos).sum(axis=0)), size
+
+
+def _unconditional_table(p: FlightParams) -> list:
+    """The unconditional pass's (names, statistic, finisher) entries at t = 0.1."""
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "_pass", lambda t, p, cfg, table, **kw: tables.append(table) or [])
+        validate._mc_rows(p, 0.1, MC_CFG)
+    return tables[-1]
+
+
+@pytest.mark.parametrize("c", [5.0, 1e160, 0.3], ids=["e0", "e529", "e-5"])
+def test_moment_sums_equal_those_of_a_squared_copy(c):
+    # the statistic sums squares with no (m, 3) copy, bit for bit the sums of pos * pos;
+    # at c t = 0.5 it reads the chunk itself (e = 0), elsewhere a copy in units of 2^e
+    p = FlightParams(c, 2.0)
+    [stat] = [f for names, f, _ in _unconditional_table(p) if names == "mc_mean_position_t0.1"]
+    pos, ns = montecarlo.sample_positions(0.1, p, 1 << 16, montecarlo.substream(DEFAULT_SEED, 91))
+    e = math.frexp(p.c * 0.1)[1]
+    scaled = np.ldexp(pos, -e)
+    want = np.stack([np.einsum("ij->j", scaled), np.einsum("ij->j", scaled * scaled)])
+    assert np.array_equal(stat(pos, ns).view(np.uint64), want.view(np.uint64))
+
+
+def test_unconditional_statistics_peak_memory():
+    # the five statistics on one live 65,536-path chunk: 1.50 MiB with a squared copy for the
+    # moments and the CF sums out of place, 1.00 here (the radii's two columns, or the CF's)
+    table = _unconditional_table(P)
+    pos, ns = montecarlo.sample_positions(0.1, P, 1 << 16, montecarlo.substream(DEFAULT_SEED, 92))
+
+    def statistics():
+        return [stat(pos, ns) for _, stat, _ in table]
+
+    statistics()  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        statistics()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20
+
+
+def test_shape_and_h_rows_at_tiny_and_huge_ct():
+    # c = 1/t overflowed below t = 5.6e-309, and ||alpha|| = x/(ct) at tiny ct; where ct
+    # overflowed ||alpha|| was 0, and max|H| read 1 from H(0) alone
+    tiny = {r.name: r for r in run_suite(t=1e-310, quick=True)}
+    assert tiny["density_vs_shapes_t1e-310"].passed
+    huge = {r.name: r for r in run_suite(FlightParams(1e308, 2.0), 10.0, quick=True)}
+    default = {r.name: r for r in run_suite(quick=True)}
+    assert tiny["h_bound_grid"] == huge["h_bound_grid"] == default["h_bound_grid"]
+    assert default["h_bound_grid"].detail == "max|H|=0.997336"
 
 
 class TestStatisticsMatchScipyStats:
