@@ -19,16 +19,16 @@ row sums a block, not four), and sum 1 - cos a = 2 tau^2/(1 + tau^2),
 tau = tan(a/2), which keeps its digits near a = 0.
 
 Determinism: work is split into fixed-size chunks and chunk k draws from a
-counter-based Philox stream keyed by (seed, k).  Chunks run on every CPU the
-process may use (set from outside, as by taskset); their results are reduced in
-index order, so estimates are bit-identical for any CPU count.  Each pass of
+counter-based Philox stream keyed by (seed, k).  The caller and one plain thread per
+further CPU the process may use (set from outside, as by taskset) run them; results
+are reduced in index order, so estimates are bit-identical for any CPU count.  Each pass of
 the suite in `validate` is one `_per_chunk` call over a table of these statistics.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -241,23 +241,34 @@ def _per_chunk(
 
     Chunk k is drawn once from substream(cfg.seed, k); with condition=n it is
     drawn given exactly n switches, with x3=True positions is the X_3 column
-    alone, and either way counts is None.  Chunks run on _workers() threads;
-    fn must be safe to call from any of them.
+    alone, and either way counts is None.  The caller and min(_workers(), chunks) - 1
+    plain threads pull chunks from one iterator, so fn must be safe on any of them;
+    after the join the lowest-index chunk that raised re-raises, as pool.map would.
     """
     full, rem = divmod(cfg.samples, _CHUNK)
     sizes = [_CHUNK] * full + ([rem] if rem else [])
+    results, errors, chunks = [None] * len(sizes), {}, enumerate(sizes)
 
-    def one(i: int, size: int):
-        rng = substream(cfg.seed, i)
-        if condition is None and not x3:
-            return fn(*sample_positions(t, p, size, rng))
-        return fn(_draw(t, p, size, rng, condition, x3)[0], None)
+    def run() -> None:
+        for i, size in chunks:  # each chunk is handed out once, to whichever thread is free
+            try:
+                rng = substream(cfg.seed, i)
+                if condition is None and not x3:
+                    results[i] = fn(*sample_positions(t, p, size, rng))
+                else:
+                    results[i] = fn(_draw(t, p, size, rng, condition, x3)[0], None)
+            except Exception as exc:
+                errors[i] = exc
 
-    workers = min(_workers(), len(sizes))
-    if workers <= 1:
-        return [one(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(len(sizes)), sizes))
+    threads = [threading.Thread(target=run) for _ in range(min(_workers(), len(sizes)) - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _mean_with_error(sums: np.ndarray, sumsqs: np.ndarray, n: int) -> McEstimate:

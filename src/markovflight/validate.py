@@ -423,9 +423,10 @@ def run_suite(p=FlightParams(5.0, 2.0), t: float = 0.1, cfg=McConfig(10**6, DEFA
     quick=True restricts the run to the deterministic (non Monte Carlo) subset.  The full
     default suite uses 1e6 samples per estimate and a fixed seed, so it is deterministic as
     well; it needs at least 1e4 samples.  Inputs are checked before any row runs: a t that
-    is not finite and > 0, or too few samples, raise DomainError.
+    is not finite and > 0, a c t that overflows, or too few samples, raise DomainError.
     """
     check_time(t)
+    check_radius(p.c * t, name="ct")
     if not quick and cfg.samples < montecarlo._MIN_CF_SAMPLES:
         raise DomainError(
             f"the Monte Carlo rows need at least {montecarlo._MIN_CF_SAMPLES} samples"

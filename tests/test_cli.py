@@ -237,6 +237,12 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL doomed" in out
 
+    def test_overflowing_ct_is_usage_error(self, capsys):
+        # it ran the quick suite at c t = inf and reported 24/31
+        code, out, err = run_cli(["validate", "--quick", "--c", "1e308", "--t", "10"], capsys)
+        assert code == 2 and out == ""
+        assert "usage error: ct must be finite" in err
+
     def test_too_few_samples_is_usage_error(self, capsys, monkeypatch):
         # the estimators' sample floor is an input error, caught before any check
         def no_suite(*args, **kwargs):

@@ -141,7 +141,8 @@ def test_no_module_imports_scipy():
 
 
 def test_commands_load_no_scipy(tmp_path):
-    # no module imports scipy, so neither may any command
+    # no module imports scipy, so neither may any command; nor numpy.polynomial (the
+    # Gauss-Legendre rule is stored) or concurrent.futures (chunks run on plain threads)
     commands = [
         ["validate", "--samples", "100000"],
         ["simulate", "--samples", "20000"],
@@ -152,4 +153,6 @@ def test_commands_load_no_scipy(tmp_path):
         f"assert cli.main({args + ['--output', str(tmp_path / str(k))]!r}) == 0"
         for k, args in enumerate(commands)
     )
-    assert _fresh(f"import sys; from markovflight import cli; {runs}; {SCIPY_MODULES}") == "[]"
+    unwanted = ("print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'"
+                " or k.startswith(('numpy.polynomial', 'concurrent.futures'))))")
+    assert _fresh(f"import sys; from markovflight import cli; {runs}; {unwanted}") == "[]"

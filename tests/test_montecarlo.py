@@ -10,6 +10,7 @@ endpoint kernel against `whole_array_endpoints`, the same arithmetic done
 once over all the paths of each count.
 """
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import dataclass
@@ -580,8 +581,64 @@ class TestDefaultWorkers:
     def test_one_cpu_runs_serially(self, cpus):
         assert self.chunk_threads(cpus, 1) == {threading.get_ident()}
 
-    def test_several_cpus_use_a_pool(self, cpus):
-        assert threading.get_ident() not in self.chunk_threads(cpus, 3)
+    def test_several_cpus_run_chunks_at_once_the_caller_among_them(self, cpus):
+        # the barrier lets three chunks through only when all three are in flight at
+        # once, so a serial runner breaks it; the caller runs one rather than waiting
+        cpus(3)
+        barrier = threading.Barrier(3, timeout=10)
+
+        def meet(pos, ns):
+            barrier.wait()
+            return threading.get_ident()
+
+        cfg = McConfig(samples=3 * montecarlo._CHUNK, seed=SEED)
+        threads = montecarlo._per_chunk(T, P, cfg, meet)
+        assert len(set(threads)) == 3 and threading.get_ident() in threads
+
+    def test_each_chunk_runs_once_under_fast_switching(self, cpus, monkeypatch):
+        # eight threads share one iterator over 201 small chunks, switching every
+        # microsecond: a chunk handed out twice or never changes the calls or the results
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        cfg, calls = McConfig(samples=64 * 200 + 5, seed=SEED), []
+
+        def first(pos, ns):
+            calls.append(len(pos))
+            return pos[0, 0]
+
+        cpus(1)
+        serial = montecarlo._per_chunk(T, P, cfg, first)
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = montecarlo._per_chunk(T, P, cfg, first)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial and len(serial) == 201 and sum(calls) == 2 * cfg.samples
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_the_lowest_failing_chunk_raises(self, cpus, monkeypatch, k):
+        # chunks 2 and 3 of 0..3 raise, chunk 2 last where they overlap: the caller
+        # gets chunk 2's exception, as pool.map gave it, whichever raised first
+        cpus(k)
+        local, third_raised = threading.local(), threading.Event()
+        substream = montecarlo.substream
+
+        def tagged(seed, i):
+            local.chunk = i
+            return substream(seed, i)
+
+        def fail(pos, ns):
+            if local.chunk == 2 and k > 1:
+                assert third_raised.wait(10)
+            if local.chunk == 3:
+                third_raised.set()
+            if local.chunk >= 2:
+                raise ValueError(f"chunk {local.chunk}")
+
+        monkeypatch.setattr(montecarlo, "substream", tagged)
+        with pytest.raises(ValueError, match="chunk 2"):
+            montecarlo._per_chunk(T, P, self.CFG, fail)
 
 
 def test_empty_batches():

@@ -80,6 +80,13 @@ def bessel_series(nu: float, x: float, terms: int = 40) -> float:
     return total
 
 
+def test_stored_gauss_legendre_rule_is_numpys():
+    # the stored upper halves, mirrored, are leggauss(16) to the last bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert specfun._GL_NODES.tobytes() == nodes.tobytes()
+    assert specfun._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 class TestLogGammaPochhammer:
     def test_log_gamma_matches_lgamma(self):
         for x in (0.5, 1.0, 2.5, 17.0):

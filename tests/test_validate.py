@@ -323,6 +323,12 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(t=t)
 
+    def test_overflowing_ct_raises_before_any_row(self, monkeypatch):
+        # at c t = 1e309 ball_limit_gtilde_t10 compared a point at r = 1.8e308
+        monkeypatch.setattr(validate, "_run", None)
+        with pytest.raises(DomainError, match="ct must be finite"):
+            run_suite(FlightParams(c=1e308, lam=2.0), 10.0, quick=True)
+
     def test_quadrature_rows_at_large_lambda_t(self):
         # at lam t = 20 the bare const bracket was 1333; an absolute quadrature
         # tol of 1e-11 there raised on an estimate of 1.5e-11
@@ -574,10 +580,11 @@ def test_unconditional_statistics_peak_memory():
 
 def test_shape_and_h_rows_at_tiny_and_huge_ct():
     # c = 1/t overflowed below t = 5.6e-309, and ||alpha|| = x/(ct) at tiny ct; where ct
-    # overflowed ||alpha|| was 0, and max|H| read 1 from H(0) alone
+    # overflowed ||alpha|| was 0, and max|H| read 1 from H(0) alone.  A ct that overflows
+    # is now refused before any row, so the huge case takes ct = 1.7e308, near the float limit
     tiny = {r.name: r for r in run_suite(t=1e-310, quick=True)}
     assert tiny["density_vs_shapes_t1e-310"].passed
-    huge = {r.name: r for r in run_suite(FlightParams(1e308, 2.0), 10.0, quick=True)}
+    huge = {r.name: r for r in run_suite(FlightParams(1e308, 2.0), 1.7, quick=True)}
     default = {r.name: r for r in run_suite(quick=True)}
     assert tiny["h_bound_grid"] == huge["h_bound_grid"] == default["h_bound_grid"]
     assert default["h_bound_grid"].detail == "max|H|=0.997336"
